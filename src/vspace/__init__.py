@@ -36,7 +36,6 @@ from .algorithms import (
     SolveResult,
     SolverStall,
     WeightMap,
-    bfa,
     default_safety_cap,
     german_algorithm,
     sa_forever,
@@ -96,7 +95,7 @@ __all__ = [
     "RestrictedSpace", "RoundRecord", "RunTrace", "SamplingReport",
     "SamplingStats", "SebInstance", "SebSpace", "SolveResult", "SolverStall",
     "ViolationPattern", "ViolatorSpace", "WeightMap",
-    "anti_basis", "bfa", "check_axioms", "combinatorial_dimension",
+    "anti_basis", "check_axioms", "combinatorial_dimension",
     "composite_experiment", "composite_rounds", "composite_space",
     "composite_violators", "default_safety_cap", "elements",
     "enumerate_partitions", "exact_sampling_stats", "extreme_elements",

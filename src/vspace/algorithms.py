@@ -2,7 +2,7 @@
 
 Three entry points, all deterministic functions of (space, seed):
 
-  bfa               brute-force basis of a subset, the terminal solver
+  find_basis        brute-force basis of a subset (core), the terminal solver
   german_algorithm  sample r = ceil(d*sqrt(n/2)) elements, then repeatedly
                     add the violators of a basis of the working set; needs
                     at most d+1 basis calls
@@ -104,14 +104,14 @@ def weighted_sample(weights: WeightMap, r: int, rng: random.Random) -> int:
     return mask
 
 
-def bfa(space: ViolatorSpace, subset: int, **kwargs) -> int:
-    """Brute-force basis of (subset, V restricted to subset).
+def german_sample_size(d: int, n: int) -> int:
+    """The german solver's first sample, r = min(n, max(1, ceil(d sqrt(n/2))))."""
+    return min(n, max(1, math.ceil(d * math.sqrt(n / 2.0))))
 
-    Exactly core.find_basis: the condition V(B) & subset == 0 it
-    enumerates is the restricted-space basis condition, so no separate
-    restriction plumbing is needed.
-    """
-    return find_basis(space, subset, **kwargs)
+
+def swiss_sample_size(d: int, n: int, c: float = 2.0) -> int:
+    """Slips per weight-doubling round, r = min(n, max(1, ceil(c d^2)))."""
+    return min(n, max(1, math.ceil(c * d * d)))
 
 
 def _swiss_on_restriction(space: ViolatorSpace, subset: int, seed: int, d: int) -> int:
@@ -123,10 +123,10 @@ def _swiss_on_restriction(space: ViolatorSpace, subset: int, seed: int, d: int) 
 def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> SolveResult:
     """Sample-then-grow solver; at most d+1 inner-solver calls.
 
-    Each round computes a basis B of the working set (via bfa or via the
-    swiss algorithm on the restriction) and merges V(B) into the working
-    set; V(B) == V(working set) by locality, and a round with violators
-    adds an element of every basis of H, so d+1 rounds always suffice.
+    Each round computes a basis B of the working set (inner="bfa": find_basis;
+    inner="sa": the swiss algorithm on the restriction) and merges V(B) into
+    the working set; V(B) == V(working set) by locality, and a round with
+    violators adds an element of every basis of H, so d+1 rounds always suffice.
     When n <= r the sample would be everything, so the inner solver is
     invoked directly on the full space (recorded as a delegated trace
     with zero rounds).
@@ -135,7 +135,7 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
         raise ValueError(f"inner solver must be 'bfa' or 'sa', got {inner!r}")
     d = resolve_dimension(space)
     n = space.n
-    r = min(n, max(1, math.ceil(d * math.sqrt(n / 2.0))))
+    r = german_sample_size(d, n)
     if n <= r:
         if inner == "bfa":
             basis = find_basis(space, space.ground)
@@ -174,19 +174,33 @@ def default_safety_cap(d: int, n: int) -> int:
     return math.ceil(64 * (d + 1) * (math.log2(max(n, 2)) + 1))
 
 
+def _doubling_rounds(space: ViolatorSpace, seed: int, r: int, weights: WeightMap,
+                     rounds: int):
+    """Lazily yield up to `rounds` rounds of: weighted sample of r slips,
+    its basis B, the global violators of B, double their weights in place."""
+    rng = random.Random(spawn(seed, 0))
+    for i in range(1, rounds + 1):
+        sample = weighted_sample(weights, r, rng)
+        b = find_basis(space, sample)
+        v = space.violators(b)
+        weights.double(v)
+        yield RoundRecord(index=i, sample=sample, basis=b, violators=v,
+                          slips=r, weight_total=weights.total)
+
+
 def swiss_algorithm(space: ViolatorSpace, seed: int, c: float = 2.0,
                     max_rounds: int | None = None) -> SolveResult:
     """Weight-doubling solver.
 
-    Rounds draw a weighted sample R, compute its basis B = bfa(R), and
-    double the weight of every global violator of B; a round with no
-    violators ends the run. When n <= r the solver degenerates to bfa on
-    the full ground set (delegated trace, zero rounds). Exceeding the
-    safety cap raises SolverStall with the trace attached.
+    Rounds draw a weighted sample R, compute its basis B = find_basis(R),
+    and double the weight of every global violator of B; a round with no
+    violators ends the run. When n <= r the solver degenerates to
+    find_basis on the full ground set (delegated trace, zero rounds).
+    Exceeding the safety cap raises SolverStall with the trace attached.
     """
     d = resolve_dimension(space)
     n = space.n
-    r = min(n, max(1, math.ceil(c * d * d)))
+    r = swiss_sample_size(d, n, c)
     if n <= r:
         basis = find_basis(space, space.ground)
         trace = RunTrace(kind="sa", initial=None, rounds=(),
@@ -194,24 +208,18 @@ def swiss_algorithm(space: ViolatorSpace, seed: int, c: float = 2.0,
         return SolveResult(basis, trace, 1)
 
     cap = default_safety_cap(d, n) if max_rounds is None else max_rounds
-    rng = random.Random(spawn(seed, 0))
     weights = WeightMap.unit(n)
     recs: list[RoundRecord] = []
-    for i in range(1, cap + 1):
-        sample = weighted_sample(weights, r, rng)
-        b = find_basis(space, sample)
-        v = space.violators(b)
-        weights.double(v)
-        recs.append(RoundRecord(index=i, sample=sample, basis=b, violators=v,
-                                slips=r, weight_total=weights.total))
-        if v == 0:
-            trace = RunTrace(kind="sa", initial=None, rounds=tuple(recs),
-                             terminated_cleanly=True,
-                             final_weights=weights.snapshot())
-            return SolveResult(b, trace, i)
+    for rec in _doubling_rounds(space, seed, r, weights, cap):
+        recs.append(rec)
+        if rec.violators == 0:
+            break
+    clean = bool(recs) and recs[-1].violators == 0
     trace = RunTrace(kind="sa", initial=None, rounds=tuple(recs),
-                     terminated_cleanly=False, final_weights=weights.snapshot())
-    raise SolverStall(f"no violator-free basis within {cap} rounds", trace)
+                     terminated_cleanly=clean, final_weights=weights.snapshot())
+    if not clean:
+        raise SolverStall(f"no violator-free basis within {cap} rounds", trace)
+    return SolveResult(recs[-1].basis, trace, len(recs))
 
 
 def sa_forever(space: ViolatorSpace, seed: int, max_rounds: int,
@@ -227,19 +235,11 @@ def sa_forever(space: ViolatorSpace, seed: int, max_rounds: int,
     """
     d = resolve_dimension(space)
     n = space.n
-    r = min(n, max(1, math.ceil(c * d * d)))
+    r = swiss_sample_size(d, n, c)
     if r >= n:
         raise ValueError(f"sample size r={r} must be below n={n} for round estimation")
-    rng = random.Random(spawn(seed, 0))
     weights = WeightMap.unit(n)
-    recs: list[RoundRecord] = []
-    for i in range(1, max_rounds + 1):
-        sample = weighted_sample(weights, r, rng)
-        b = find_basis(space, sample)
-        v = space.violators(b)
-        weights.double(v)
-        recs.append(RoundRecord(index=i, sample=sample, basis=b, violators=v,
-                                slips=r, weight_total=weights.total))
+    recs = tuple(_doubling_rounds(space, seed, r, weights, max_rounds))
     clean = not recs or recs[-1].violators == 0
-    return RunTrace(kind="sa-forever", initial=None, rounds=tuple(recs),
+    return RunTrace(kind="sa-forever", initial=None, rounds=recs,
                     terminated_cleanly=clean, final_weights=weights.snapshot())

@@ -22,6 +22,7 @@ from .subsets import (
     expand,
     compress,
     full_mask,
+    interval_hull,
     iter_by_size_then_value,
     iter_submasks,
     iter_submasks_ascending,
@@ -328,25 +329,20 @@ def combinatorial_dimension(space: ViolatorSpace, *, budget: int = DEFAULT_BASIS
 
 
 def is_nondegenerate(space: ViolatorSpace) -> bool:
-    """True iff every subset G has a unique minimal B with V(B) == V(G).
+    """True iff every fiber {G : V(G) == v} is an interval of the subset lattice.
 
-    Uses the fact that all sets B inside G with V(B) == V(G) contain the
-    minimum-cardinality one exactly when that minimum is the unique
-    minimal element (downward chains between equal-violator sets stay
-    equal-violator by monotonicity).
+    On a space that satisfies the axioms this decides nondegeneracy (every
+    G has a unique minimal B with V(B) == V(G)) in O(2^n): the fibers are
+    then exactly the intervals [B, H minus V(B)] (Gaertner, Matousek, Ruest
+    and Skovron 2008). On other handles the answer means nothing.
     """
     n = space.n
     if n > DIMENSION_LIMIT:
         raise ValueError(f"nondegeneracy check refused: n={n} exceeds {DIMENSION_LIMIT}")
-    table = [space.violators(g) for g in range(1 << n)]
-
+    fibers: dict[int, list[int]] = {}
     for g in range(1 << n):
-        vg = table[g]
-        b0 = find_basis(space, g)
-        for b in iter_submasks(g):
-            if table[b] == vg and (b & b0) != b0:
-                return False
-    return True
+        fibers.setdefault(space.violators(g), []).append(g)
+    return all(interval_hull(f) is not None for f in fibers.values())
 
 
 def resolve_dimension(space: ViolatorSpace) -> int:

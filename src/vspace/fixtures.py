@@ -73,12 +73,6 @@ def singleton_pattern_space(n: int = 5) -> ExplicitSpace:
     return space
 
 
-def min_order_space(n: int = 10) -> ExplicitSpace:
-    space = ExplicitSpace(n, min_order_table(n))
-    space.certify()
-    return space
-
-
 def interval_space(n: int = 12) -> ExplicitSpace:
     space = ExplicitSpace(n, interval_table(n))
     space.certify()

@@ -17,9 +17,11 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algorithms import SolverStall, german_algorithm, sa_forever, swiss_algorithm
+from .algorithms import (SolverStall, german_algorithm, german_sample_size, sa_forever,
+                         swiss_algorithm, swiss_sample_size)
 from .core import (
     ViolatorSpace,
+    check_axioms,
     composite_rounds,
     composite_space,
     extreme_elements,
@@ -54,7 +56,7 @@ class BoundParams:
 
     alpha = 2^((log2(e) - c) / (c d)) is the per-round decay rate of the
     probability that every round so far had violators; it is below 1
-    exactly when c > log2(e).
+    exactly when c > log2(e). At d = 0 it takes its limit, 0.
     """
 
     d: int
@@ -64,17 +66,22 @@ class BoundParams:
 
     @property
     def r_sa(self) -> int:
-        return min(self.n, max(1, math.ceil(self.c * self.d * self.d)))
+        return swiss_sample_size(self.d, self.n, self.c)
 
     @property
     def alpha(self) -> float:
         if self.c <= LOG2_E:
             raise ValueError(f"c={self.c} must exceed log2(e)={LOG2_E:.6f} for decay")
+        if self.d == 0:
+            return 0.0
         return 2.0 ** ((LOG2_E - self.c) / (self.c * self.d))
 
     def round_bound(self) -> float:
-        """beta * log_{1/alpha}(n) + 1, the expected-round budget."""
-        return self.beta * math.log(self.n) / -math.log(self.alpha) + 1.0
+        """beta * log_{1/alpha}(n) + 1, the expected-round budget; 1 at its limits."""
+        alpha = self.alpha
+        if alpha == 0.0 or self.n <= 1:
+            return 1.0
+        return self.beta * math.log(self.n) / -math.log(alpha) + 1.0
 
 
 def exact_sampling_stats(space: ViolatorSpace, r: int) -> SamplingStats:
@@ -146,11 +153,7 @@ def verify_sampling_lemma(space: ViolatorSpace, d: int | None = None) -> Samplin
         rows.append(SamplingIdentityRow(
             r=r, v=v, x_next=x_next, lhs=lhs, rhs=rhs, equal=lhs == rhs,
             corollary_bound=cor, corollary_ok=v <= cor))
-    extreme_ok = True
-    for mask in range(1 << n):
-        if extreme_elements(space, mask).bit_count() > d:
-            extreme_ok = False
-            break
+    extreme_ok = all(extreme_elements(space, mask).bit_count() <= d for mask in range(1 << n))
     return SamplingReport(n, d, tuple(rows), extreme_ok)
 
 
@@ -174,7 +177,7 @@ def ga_experiment(space: ViolatorSpace, trials: int, seed: int,
     """
     d = resolve_dimension(space)
     n = space.n
-    r = min(n, max(1, math.ceil(d * math.sqrt(n / 2.0))))
+    r = german_sample_size(d, n)
     rounds = []
     max_working = []
     delegated = 0
@@ -325,7 +328,7 @@ def composite_experiment(space: ViolatorSpace) -> dict:
     set minus the start; the composite dimension is at most d(d+1)/2;
     nondegeneracy is inherited when the base space has it; and the
     sampling identity plus the corollary at the d(d+1)/2 bound hold on
-    the composite table.
+    the composite table. Base nondegeneracy is None if the base fails the axioms.
     """
     n = space.n
     if n > COMPOSITE_LIMIT:
@@ -347,7 +350,7 @@ def composite_experiment(space: ViolatorSpace) -> dict:
             break
 
     dim_comp = combinatorial_dimension(tab)
-    base_nondeg = is_nondegenerate(space) if n <= 16 else None
+    base_nondeg = is_nondegenerate(space) if check_axioms(space).ok else None
     inherited = is_nondegenerate(tab) if base_nondeg else None
 
     sampling = verify_sampling_lemma(tab, d=bound_d) if n <= SAMPLING_STATS_LIMIT else None

@@ -9,13 +9,14 @@ exactly one space; roundtrip_check exercises both directions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 
-from .core import check_axioms, is_nondegenerate, ViolatorSpace
+from .core import check_axioms, find_basis, ViolatorSpace
 from .instances import ExplicitSpace
-from .subsets import full_mask, iter_submasks_ascending
+from .subsets import full_mask, interval_hull, iter_submasks, iter_submasks_ascending
 
 PARTITION_FORMAT = "hcpart-v1"
 ENUMERATION_LIMIT = 4
@@ -110,36 +111,16 @@ def violation_pattern(space: ViolatorSpace) -> ViolationPattern:
 
 
 def pattern_is_hypercube_partition(pattern: ViolationPattern):
-    """(flag, witness): whether every class is an interval.
-
-    A class C always sits inside [AND(C), OR(C)]; it is an interval
-    exactly when its size matches that interval's. The witness is the
-    first failing class, or None.
-    """
-    for cls in pattern.classes:
-        bottom = cls[0]
-        top = 0
-        for c in cls:
-            bottom &= c
-            top |= c
-        if len(cls) != 1 << (top & ~bottom).bit_count():
-            return False, cls
-    return True, None
+    """(flag, witness): whether every class is an interval; witness is the first that is not."""
+    witness = next((cls for cls in pattern.classes if interval_hull(cls) is None), None)
+    return witness is None, witness
 
 
 def pattern_to_partition(pattern: ViolationPattern) -> HypercubePartition:
-    ok, witness = pattern_is_hypercube_partition(pattern)
-    if not ok:
-        raise ValueError(f"pattern class {witness} is not an interval")
-    ivs = []
-    for cls in pattern.classes:
-        bottom = cls[0]
-        top = 0
-        for c in cls:
-            bottom &= c
-            top |= c
-        ivs.append(Interval(bottom, top))
-    return make_partition(pattern.n, ivs)
+    hulls = [interval_hull(cls) for cls in pattern.classes]
+    if None in hulls:
+        raise ValueError(f"pattern class {pattern.classes[hulls.index(None)]} is not an interval")
+    return make_partition(pattern.n, [Interval(*hull) for hull in hulls])
 
 
 def enumerate_partitions(n: int):
@@ -154,16 +135,11 @@ def enumerate_partitions(n: int):
         raise ValueError(f"partition enumeration refused: n={n} exceeds {ENUMERATION_LIMIT}")
     all_verts = (1 << (1 << n)) - 1
     elem_full = full_mask(n)
-    bits_cache: dict[tuple[int, int], int] = {}
     out: list[Interval] = []
 
+    @functools.cache
     def bits_of(bottom: int, top: int) -> int:
-        key = (bottom, top)
-        got = bits_cache.get(key)
-        if got is None:
-            got = _interval_bits(Interval(bottom, top))
-            bits_cache[key] = got
-        return got
+        return _interval_bits(Interval(bottom, top))
 
     def rec(covered: int):
         if covered == all_verts:
@@ -209,18 +185,31 @@ def random_partition(n: int, rng) -> HypercubePartition:
     return make_partition(n, ivs)
 
 
+def _nondegenerate_by_definition(space: ViolatorSpace) -> bool:
+    """Brute-force O(3^n) reference for core.is_nondegenerate.
+
+    Every G has a unique minimal B with V(B) == V(G) exactly when all sets
+    inside G sharing V(G) contain the minimum-cardinality one (downward
+    chains between equal-violator sets stay equal-violator by monotonicity).
+    """
+    table = [space.violators(g) for g in range(1 << space.n)]
+    for g in range(1 << space.n):
+        vg = table[g]
+        b0 = find_basis(space, g)
+        for b in iter_submasks(g):
+            if table[b] == vg and (b & b0) != b0:
+                return False
+    return True
+
+
 def _all_nondegenerate_tables(n: int) -> set[tuple[int, ...]]:
     """Every axiom-passing nondegenerate table, by filtering all consistent ones."""
-    full = full_mask(n)
-    choices = []
-    for g in range(1 << n):
-        allowed = full & ~g
-        choices.append(list(iter_submasks_ascending(allowed)))
+    choices = [list(iter_submasks_ascending(full_mask(n) & ~g)) for g in range(1 << n)]
     found = set()
     for combo in itertools.product(*choices):
         space = ExplicitSpace(n, list(combo))
         report = check_axioms(space)
-        if report.ok and is_nondegenerate(space):
+        if report.ok and _nondegenerate_by_definition(space):
             found.add(tuple(combo))
     return found
 
@@ -251,7 +240,8 @@ def roundtrip_check(n: int, spaces=()) -> RoundtripReport:
     two partitions sharing a table. For n <= 3 the space side is swept
     too: the partition images are exactly the nondegenerate axiom-passing
     tables. Optional `spaces` are checked fixture-style: pattern is a
-    partition and regenerating from it reproduces the table.
+    partition and regenerating from it reproduces the table. Nondegeneracy
+    is decided by its definition, so the fiber-interval theorem is tested.
     """
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"roundtrip refused: n={n} exceeds {ENUMERATION_LIMIT}")
@@ -263,7 +253,7 @@ def roundtrip_check(n: int, spaces=()) -> RoundtripReport:
         space = partition_to_space(part, certify=True)
         if not space.axiom_report.ok:
             all_ax = False
-        if not is_nondegenerate(space):
+        if not _nondegenerate_by_definition(space):
             all_nd = False
         pat = violation_pattern(space)
         flag, _ = pattern_is_hypercube_partition(pat)

@@ -25,6 +25,7 @@ SEB_FORMAT = "seb-v1"
 TABLE_N_LIMIT = 20
 TABULATE_LIMIT = 16
 DEFAULT_TOLERANCE = 1e-9
+BALL_CACHE_LIMIT = 1 << 10
 
 
 class ExplicitSpace(ViolatorSpace):
@@ -174,6 +175,18 @@ def _point_tuples(instance: SebInstance) -> list[tuple[float, ...]]:
     return cached
 
 
+def _ball_cache(instance: SebInstance) -> dict:
+    # Boundary balls keyed by the ordered tuple of their point indices.
+    # The solvers ask for V(G) and V(G minus x) for every x in G; those
+    # recursions share every prefix before x, so most boundary balls
+    # repeat. Emptied when it outgrows BALL_CACHE_LIMIT entries.
+    cached = getattr(instance, "_balls", None)
+    if cached is None or len(cached) > BALL_CACHE_LIMIT:
+        cached = {}
+        object.__setattr__(instance, "_balls", cached)
+    return cached
+
+
 def _dot(a, b) -> float:
     s = 0.0
     for x, y in zip(a, b):
@@ -275,22 +288,27 @@ def _ball_with_boundary(bpts, tol: float):
     return best
 
 
-def _mb(pts, boundary, tol: float, dim: int):
-    """Smallest ball of pts with `boundary` pinned to the sphere.
+def _mb(pts, sel, boundary: tuple[int, ...], tol: float, dim: int, balls: dict):
+    """Smallest ball of the points pts[j], j in sel, with the points
+    pts[j], j in boundary, pinned to the sphere.
 
     Classic recursion on a shrinking prefix: any point outside the
     current ball must lie on the boundary of the true one. Deterministic
-    index order, recursion depth <= dim+1.
+    index order, recursion depth <= dim+1. A boundary ball is a function
+    of its ordered index tuple alone, so `balls` memoizes it exactly.
     """
-    ball = _ball_with_boundary(boundary, tol)
+    if boundary in balls:
+        ball = balls[boundary]
+    else:
+        ball = balls[boundary] = _ball_with_boundary([pts[j] for j in boundary], tol)
     if len(boundary) == dim + 1:
         return ball
-    for i, p in enumerate(pts):
+    for i, j in enumerate(sel):
         if ball is not None:
             c, r2 = ball
-            if _dist2(p, c) <= r2 * (1.0 + tol):
+            if _dist2(pts[j], c) <= r2 * (1.0 + tol):
                 continue
-        ball = _mb(pts[:i], boundary + [p], tol, dim)
+        ball = _mb(pts, sel[:i], boundary + (j,), tol, dim, balls)
     return ball
 
 
@@ -302,9 +320,8 @@ def miniball(instance: SebInstance, subset: int) -> Ball:
     """
     if subset == 0:
         raise ValueError("miniball of the empty set is undefined")
-    pts = _point_tuples(instance)
-    sel = [pts[i] for i in elements(subset)]
-    center, r2 = _mb(sel, [], instance.tolerance, instance.dim)
+    center, r2 = _mb(_point_tuples(instance), elements(subset), (), instance.tolerance,
+                     instance.dim, _ball_cache(instance))
     return Ball(center=center, radius=math.sqrt(r2))
 
 
@@ -316,9 +333,8 @@ def seb_violators(instance: SebInstance, subset: int) -> int:
     """
     if subset == 0:
         return full_mask(instance.n)
-    pts = _point_tuples(instance)
-    sel = [pts[i] for i in elements(subset)]
-    center, r2 = _mb(sel, [], instance.tolerance, instance.dim)
+    center, r2 = _mb(_point_tuples(instance), elements(subset), (), instance.tolerance,
+                     instance.dim, _ball_cache(instance))
     d2 = ((instance.points - np.asarray(center)) ** 2).sum(axis=1)
     outside = d2 > r2 * (1.0 + instance.tolerance)
     mask = 0

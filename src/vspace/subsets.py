@@ -49,6 +49,19 @@ def iter_submasks_ascending(mask: int) -> Iterator[int]:
         t = (t - mask) & mask
 
 
+def interval_hull(family: Iterable[int]) -> tuple[int, int] | None:
+    """(AND, OR) of a nonempty family of distinct masks if the family fills
+    that interval of the subset lattice (it has 2^|OR minus AND| members), else None."""
+    bottom, top, count = -1, 0, 0
+    for c in family:
+        bottom &= c
+        top |= c
+        count += 1
+    if count != 1 << (top & ~bottom).bit_count():
+        return None
+    return bottom, top
+
+
 def compress(mask: int, support: int) -> int:
     """Extract the bits of mask at the positions of support into a dense mask.
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from vspace.algorithms import (
     SolverStall,
     WeightMap,
-    bfa,
     default_safety_cap,
     german_algorithm,
     sa_forever,
@@ -88,12 +87,6 @@ def test_weighted_sample_properties(mu, r, seed):
     assert mask.bit_count() <= r
     if all(x == 1 for x in mu):
         assert mask.bit_count() == r
-
-
-def test_bfa_is_find_basis(roster):
-    space = roster["seb8"]
-    for g in range(256):
-        assert bfa(space, g) == find_basis(space, g)
 
 
 GA_KEYS = ("f1", "f2", "seb8", "empty6", "singleton5", "hpart4", "interval12")

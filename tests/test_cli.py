@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import pathlib
+import random
 import shutil
 import subprocess
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vspace.cli import main
+from vspace.hypercube import partition_to_space, random_partition
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -120,6 +127,17 @@ def test_bench_sa_report_byte_identical(capsys, tmp_path):
     assert "tail" in report and "weight_growth" in report
 
 
+@pytest.mark.parametrize("n, table", [(1, [0, 0]), (0, [0])])
+def test_bench_sa_on_dimension_zero(capsys, tmp_path, n, table):
+    path = tmp_path / "dim0.json"
+    path.write_text(json.dumps({"format": "violator-table-v1", "n": n, "table": table}))
+    rc, out, err = run(capsys, "bench", str(path), "--algo", "sa", "--trials", "1",
+                       "--seed", "1", "--out", str(tmp_path / "r.json"))
+    assert rc == 0, err
+    assert "overall: pass" in out
+    assert json.loads((tmp_path / "r.json").read_text())["summary"]["round_bound"] == 1.0
+
+
 def test_tabulate(capsys, tmp_path):
     out_path = tmp_path / "seb8-table.json"
     rc, out, _ = run(capsys, "tabulate", f"{FIXTURES}/seb8.json",
@@ -201,3 +219,58 @@ def test_installed_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "overall: pass" in proc.stdout
+
+
+@st.composite
+def table_files(draw):
+    """A well-formed violator-table-v1 payload with n in 0..4.
+
+    Arbitrary tables mostly break consistency; consistent ones mostly break
+    locality; partition images pass the axioms and are nondegenerate.
+    """
+    n = draw(st.integers(0, 4))
+    full = (1 << n) - 1
+    kind = draw(st.sampled_from(("arbitrary", "consistent", "partition")))
+    if kind == "partition":
+        part = random_partition(n, random.Random(draw(st.integers(0, 2**32))))
+        table = partition_to_space(part, certify=False).table
+    else:
+        table = draw(st.lists(st.integers(0, full), min_size=1 << n, max_size=1 << n))
+        if kind == "consistent":
+            table = [v & ~g for g, v in enumerate(table)]
+    return {"format": "violator-table-v1", "n": n, "table": table}
+
+
+FUZZ_RUNS = (
+    ("check", "--dimension", "--sampling-lemma", "--nondegenerate"),
+    ("solve", "--algo", "bfa", "--seed", "1"),
+    ("solve", "--algo", "ga", "--seed", "1"),
+    ("solve", "--algo", "ga", "--inner", "sa", "--seed", "1"),
+    ("solve", "--algo", "sa", "--seed", "1"),
+    ("bench", "--algo", "ga", "--trials", "2", "--seed", "1"),
+    ("bench", "--algo", "ga", "--inner", "sa", "--trials", "2", "--seed", "1"),
+    ("bench", "--algo", "sa", "--trials", "2", "--seed", "1"),
+    ("bench", "--algo", "sa", "--trials", "2", "--seed", "1", "--forever-traces", "2",
+     "--forever-rounds", "3", "--weight-checkpoints", "1"),
+    ("composite",),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_files())
+@example({"format": "violator-table-v1", "n": 1, "table": [0, 0]})
+@example({"format": "violator-table-v1", "n": 0, "table": [0]})
+def test_cli_total_on_random_tables(payload):
+    # Every command ends with an exit code, never an exception.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "space.json"
+        path.write_text(json.dumps(payload))
+        out = str(pathlib.Path(tmp) / "report.json")
+        for command, *flags in FUZZ_RUNS:
+            argv = [command, str(path), *flags]
+            if command == "bench":
+                argv += ["--out", out]
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                rc = main(argv)
+            assert rc in (0, 1, 2), (argv, rc)

@@ -74,6 +74,25 @@ def test_bound_params():
     assert BoundParams(d=5, n=10).r_sa == 10  # clamped to n
 
 
+def test_bound_params_at_dimension_zero():
+    # alpha takes its d -> 0 limit; one round is the whole budget
+    assert BoundParams(d=0, n=6).alpha == 0.0
+    assert BoundParams(d=0, n=6).round_bound() == 1.0
+    assert BoundParams(d=0, n=0).round_bound() == 1.0
+    assert BoundParams(d=1, n=1).round_bound() == 1.0
+    with pytest.raises(ValueError, match="must exceed"):
+        _ = BoundParams(d=0, n=6, c=1.0).alpha
+
+
+def test_sa_experiment_dimension_zero(roster):
+    rep = sa_experiment(roster["empty6"], trials=5, seed=3, forever_traces=4,
+                        forever_rounds=3, weight_checkpoints=1)
+    assert rep["summary"]["round_bound"] == 1.0
+    assert rep["config"]["alpha"] == 0.0
+    assert rep["per_trial"]["rounds"] == [1] * 5
+    assert rep["pass"]
+
+
 def test_ga_experiment_structure(roster):
     rep = ga_experiment(roster["interval12"], trials=40, seed=51)
     assert rep["experiment"] == "ga"
@@ -153,6 +172,14 @@ def test_composite_experiment_nondegenerate_base(roster):
     assert "nondegeneracy inherited" in names
     assert "sampling identity and corollary on composite" in names
     assert rep["pass"]
+
+
+def test_composite_experiment_skips_nondegeneracy_of_broken_base():
+    # locality fails: V(empty) == {0} and {1,2} avoids it, yet V({1,2}) == 0
+    base = ExplicitSpace(3, [1, 2, 1, 4, 1, 2, 0, 0])
+    rep = composite_experiment(base)
+    assert rep["summary"]["base_nondegenerate"] is None
+    assert "nondegeneracy inherited" not in [m["name"] for m in rep["metrics"]]
 
 
 def test_composite_experiment_degenerate_base(roster):

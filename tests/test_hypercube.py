@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from vspace.core import FuncSpace, check_axioms, is_nondegenerate
 from vspace.hypercube import (
     ENUMERATION_LIMIT,
+    _nondegenerate_by_definition,
     HypercubePartition,
     Interval,
     enumerate_partitions,
@@ -19,7 +21,11 @@ from vspace.hypercube import (
     save_partition,
     violation_pattern,
 )
+from vspace.instances import ExplicitSpace
 from vspace.seeding import spawn
+from vspace.subsets import full_mask, iter_submasks_ascending
+
+from conftest import ROSTER_KEYS
 
 
 def test_interval_members_and_size():
@@ -93,6 +99,37 @@ def test_partition_to_space_certified_nondegenerate():
         space = partition_to_space(part)
         assert space.axiom_report.ok
         assert is_nondegenerate(space)
+
+
+@pytest.mark.parametrize("key", ROSTER_KEYS)
+def test_fiber_test_matches_definition_on_roster(roster, key):
+    space = roster[key]
+    assert is_nondegenerate(space) == _nondegenerate_by_definition(space)
+
+
+def test_fiber_test_matches_definition_on_partition_images():
+    for part in enumerate_partitions(3):
+        space = partition_to_space(part, certify=False)
+        assert is_nondegenerate(space) and _nondegenerate_by_definition(space)
+
+
+def _axiom_passing_tables(n, choices_per_subset):
+    for combo in itertools.product(*choices_per_subset):
+        space = ExplicitSpace(n, list(combo))
+        if check_axioms(space).ok:
+            yield space
+
+
+def test_fiber_test_matches_definition_on_every_small_table():
+    # n = 2: every table; n = 3: every consistent table (V(G) avoids G)
+    every2 = [range(4)] * 4
+    consistent3 = [list(iter_submasks_ascending(full_mask(3) & ~g)) for g in range(8)]
+    for n, choices, expected in ((2, every2, 9), (3, consistent3, 246)):
+        count = 0
+        for space in _axiom_passing_tables(n, choices):
+            count += 1
+            assert is_nondegenerate(space) == _nondegenerate_by_definition(space), space.table
+        assert count == expected
 
 
 def test_partition_space_table_frozen():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vspace import instances
 from vspace.core import check_axioms
 from vspace.instances import (
     DEFAULT_TOLERANCE,
@@ -202,6 +203,22 @@ def test_seb_violators_semantics():
     assert seb_violators(inst, 0b1111) == 0
     full_ball = miniball(inst, 0b1111)
     assert math.isclose(full_ball.radius, 5.0)
+
+
+@pytest.mark.parametrize("limit", [4, 1 << 10])
+def test_ball_memo_matches_cold_recursion(monkeypatch, limit):
+    # A leave-one-out sweep, as the extreme-element pass makes it, on one
+    # warm instance must give bit-identical balls and violator sets to a
+    # fresh instance per call; limit 4 also exercises emptying the memo.
+    monkeypatch.setattr(instances, "BALL_CACHE_LIMIT", limit)
+    pts = np.random.default_rng(7).random((24, 2))
+    pts = np.concatenate([pts, pts[:6]])       # duplicates: degenerate supports
+    warm = make_seb(pts)
+    g = full_mask(len(pts)) & ~0b101
+    for x in [0] + [1 << i for i in range(len(pts)) if g >> i & 1]:
+        sub = g ^ x
+        assert miniball(warm, sub) == miniball(make_seb(pts), sub)
+        assert seb_violators(warm, sub) == seb_violators(make_seb(pts), sub)
 
 
 def test_sebspace_hint_and_tabulate():
