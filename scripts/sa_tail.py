@@ -9,8 +9,8 @@ weight at the checkpoints ell = d, 2d, ... against n (1 + d/r)^ell.
 
 import argparse
 
-from vspace.cli import _load_space
 from vspace.harness import sa_experiment
+from vspace.instances import load_space
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
     ap.add_argument("--checkpoints", type=int, default=3)
     args = ap.parse_args()
 
-    space, _ = _load_space(args.file)
+    space = load_space(args.file)
     rep = sa_experiment(space, args.trials, args.seed, c=args.c,
                         forever_traces=args.traces,
                         forever_rounds=args.rounds,

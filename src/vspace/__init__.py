@@ -77,6 +77,7 @@ from .instances import (
     generate,
     load_explicit,
     load_seb,
+    load_space,
     make_seb,
     miniball,
     save_explicit,
@@ -101,9 +102,10 @@ __all__ = [
     "enumerate_partitions", "exact_sampling_stats", "extreme_elements",
     "find_basis", "full_mask", "ga_experiment", "generate",
     "german_algorithm", "is_basis", "is_nondegenerate", "load_explicit",
-    "load_partition", "load_seb", "make_partition", "make_seb", "mask_of",
-    "miniball", "partition_to_space", "pattern_is_hypercube_partition",
-    "pattern_to_partition", "random_partition", "resolve_dimension",
+    "load_partition", "load_seb", "load_space", "make_partition", "make_seb",
+    "mask_of", "miniball", "partition_to_space",
+    "pattern_is_hypercube_partition", "pattern_to_partition",
+    "random_partition", "resolve_dimension",
     "restrict", "roundtrip_check", "sa_experiment", "sa_forever",
     "save_explicit", "save_partition", "save_seb", "seb_violators",
     "spawn", "swiss_algorithm", "tabulate", "verify_sampling_lemma",

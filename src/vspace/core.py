@@ -235,24 +235,24 @@ def extreme_elements(space: ViolatorSpace, subset: int) -> int:
 
 
 def find_basis(space: ViolatorSpace, subset: int, *,
-               budget: int = DEFAULT_BASIS_BUDGET, prune: bool = True) -> int:
+               budget: int = DEFAULT_BASIS_BUDGET) -> int:
     """Minimum-cardinality B within `subset` with V(B) & subset == 0.
 
     The result is the first such B in (popcount, numeric value) order, so
     ties go to the smallest mask value. By locality any such B satisfies
     V(B) == V(subset), and a minimum-cardinality one is a basis.
 
-    With prune=True (the default) the enumeration only walks candidates
-    that contain every extreme element X of the subset. Every valid
-    candidate does: if s is extreme and B were valid with s not in B,
-    locality would give V(B) == V(subset) and monotonicity over
+    The enumeration only walks candidates that contain every extreme
+    element X of the subset. Every valid candidate does: if s is extreme
+    and B were valid with s not in B, locality would give
+    V(B) == V(subset) and monotonicity over
     B subset-of subset\\{s} subset-of subset would force
     V(subset\\{s}) == V(subset), contradicting extremeness. Candidates
     X | extra with the extras walked in (popcount, numeric) order appear
     in exactly the global (popcount, numeric) order, since OR with the
     disjoint X adds a constant to both keys. The returned mask is
-    therefore identical to the plain scan (prune=False), which is kept
-    for cross-checking.
+    therefore identical to that of the plain scan over all of `subset`,
+    which tests/test_core.py keeps as the oracle for this search.
     """
     g = subset
     size = g.bit_count()
@@ -260,27 +260,14 @@ def find_basis(space: ViolatorSpace, subset: int, *,
         raise ValueError(
             f"refusing to enumerate bases of a {size}-element set without a dimension hint")
 
-    evals = 0
-
-    def valid(b: int) -> bool:
-        nonlocal evals
+    x = extreme_elements(space, g)
+    evals = size + 1
+    for extra in iter_by_size_then_value(g & ~x):
         evals += 1
         if evals > budget:
             raise BudgetExceeded(f"basis search exceeded {budget} evaluations")
-        return space.violators(b) & g == 0
-
-    if not prune:
-        for b in iter_by_size_then_value(g):
-            if valid(b):
-                return b
-        raise ValueError(f"no basis below {g:#x}: consistency fails there")
-
-    x = extreme_elements(space, g)
-    evals += size + 1
-    rest = g & ~x
-    for extra in iter_by_size_then_value(rest):
         b = x | extra
-        if valid(b):
+        if space.violators(b) & g == 0:
             return b
     raise ValueError(f"no basis below {g:#x}: consistency fails there")
 

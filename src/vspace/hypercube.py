@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 
 from .core import check_axioms, find_basis, ViolatorSpace
-from .instances import ExplicitSpace
+from .instances import ExplicitSpace, _int_field, _read_json, _write_json
 from .subsets import full_mask, interval_hull, iter_submasks, iter_submasks_ascending
 
 PARTITION_FORMAT = "hcpart-v1"
@@ -282,13 +281,8 @@ def roundtrip_check(n: int, spaces=()) -> RoundtripReport:
 
 
 def load_partition(path) -> HypercubePartition:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or data.get("format") != PARTITION_FORMAT:
-        raise ValueError(f"{path}: missing or wrong format tag (want {PARTITION_FORMAT!r})")
-    n = data.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0 or n > 16:
-        raise ValueError(f"{path}: field 'n' must be an int in [0, 16]")
+    data = _read_json(path, PARTITION_FORMAT)
+    n = _int_field(data, "n", 0, 16, path)
     raw = data.get("intervals")
     if not isinstance(raw, list):
         raise ValueError(f"{path}: field 'intervals' must be a list")
@@ -313,6 +307,4 @@ def partition_payload(partition: HypercubePartition) -> dict:
 
 
 def save_partition(partition: HypercubePartition, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(partition_payload(partition), fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(partition_payload(partition), path)

@@ -1,9 +1,14 @@
-"""Concrete violator-space instances.
+"""Concrete violator-space instances and the stored-file formats.
 
 Two families: explicit tables (the violator map stored entry by entry)
 and smallest-enclosing-ball instances (points in R^d, violators of G are
 the points outside the smallest ball enclosing G). Plus seeded
-generators and JSON file I/O for both.
+generators.
+
+Every stored file is JSON read by `_read_json` (one object, checked
+format tag) and written by `_write_json` (sorted keys, one trailing
+newline); hypercube partitions and harness reports go through the same
+two. `load_space` reads either instance format by its tag.
 """
 
 from __future__ import annotations
@@ -31,12 +36,12 @@ BALL_CACHE_LIMIT = 1 << 10
 class ExplicitSpace(ViolatorSpace):
     """Violator map stored as a full table of 2^n masks.
 
-    `certified` records whether the table has passed check_axioms; raw
-    tables (possibly violating the axioms) are representable on purpose,
-    so the checker has something to reject.
+    Raw tables (possibly violating the axioms) are representable on
+    purpose, so the checker has something to reject; `certify` records
+    the checker's report.
     """
 
-    def __init__(self, n: int, table, certified: bool = False):
+    def __init__(self, n: int, table):
         if n < 0 or n > TABLE_N_LIMIT:
             raise ValueError(f"explicit table size n={n} outside [0, {TABLE_N_LIMIT}]")
         table = list(table)
@@ -44,35 +49,53 @@ class ExplicitSpace(ViolatorSpace):
             raise ValueError(f"table must have exactly {1 << n} entries, got {len(table)}")
         self.n = n
         self.table = table
-        self.certified = certified
         self.axiom_report = None
         self.dim_hint = None
+
+    @property
+    def certified(self) -> bool:
+        """Whether the table has passed check_axioms (via certify)."""
+        return self.axiom_report is not None and self.axiom_report.ok
 
     def violators(self, subset: int) -> int:
         return self.table[subset]
 
     def certify(self):
         """Run the axiom checker, record and return its report."""
-        report = check_axioms(self)
-        self.axiom_report = report
-        self.certified = report.ok
-        return report
+        self.axiom_report = check_axioms(self)
+        return self.axiom_report
 
 
-def load_explicit(path) -> ExplicitSpace:
-    """Parse a violator-table-v1 file, validating structure strictly.
-
-    Structural violations (format tag, n range, table length, entry
-    range) are parse errors with the offending position. Semantic axiom
-    violations are not rejected here; they are check_axioms' job.
-    """
+def _read_json(path, tag: str | None = None) -> dict:
+    """The JSON object stored at `path`; with `tag`, its format tag must be that."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or data.get("format") != TABLE_FORMAT:
-        raise ValueError(f"{path}: missing or wrong format tag (want {TABLE_FORMAT!r})")
-    n = data.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0 or n > TABLE_N_LIMIT:
-        raise ValueError(f"{path}: field 'n' must be an int in [0, {TABLE_N_LIMIT}]")
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object with a format tag")
+    if tag is not None and data.get("format") != tag:
+        raise ValueError(f"{path}: missing or wrong format tag (want {tag!r})")
+    return data
+
+
+def _write_json(payload, path, indent: int | None = None) -> None:
+    """Store `payload` with sorted keys and a trailing newline (byte-stable)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
+
+
+def _int_field(data: dict, key: str, low: int, high: float, path) -> int:
+    value = data.get(key)
+    if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= high:
+        raise ValueError(f"{path}: field {key!r} must be an int in [{low}, {high}]")
+    return value
+
+
+def _explicit_from(data: dict, path) -> ExplicitSpace:
+    n = _int_field(data, "n", 0, TABLE_N_LIMIT, path)
     table = data.get("table")
     if not isinstance(table, list):
         raise ValueError(f"{path}: field 'table' must be a list")
@@ -85,11 +108,18 @@ def load_explicit(path) -> ExplicitSpace:
     return ExplicitSpace(n, table)
 
 
+def load_explicit(path) -> ExplicitSpace:
+    """Parse a violator-table-v1 file, validating structure strictly.
+
+    Structural violations (format tag, n range, table length, entry
+    range) are parse errors with the offending position. Semantic axiom
+    violations are not rejected here; they are check_axioms' job.
+    """
+    return _explicit_from(_read_json(path, TABLE_FORMAT), path)
+
+
 def save_explicit(space: ExplicitSpace, path) -> None:
-    payload = {"format": TABLE_FORMAT, "n": space.n, "table": list(space.table)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    _write_json({"format": TABLE_FORMAT, "n": space.n, "table": list(space.table)}, path)
 
 
 @dataclass(frozen=True)
@@ -118,6 +148,8 @@ class SebInstance:
 
 def make_seb(points, dim: int | None = None, tolerance: float = DEFAULT_TOLERANCE) -> SebInstance:
     arr = np.asarray(points, dtype=float)
+    if arr.shape == (0,) and dim is not None:
+        arr = arr.reshape(0, dim)
     if arr.ndim != 2:
         raise ValueError("points must be a 2-d array-like")
     if dim is None:
@@ -130,14 +162,8 @@ def make_seb(points, dim: int | None = None, tolerance: float = DEFAULT_TOLERANC
     return SebInstance(dim=dim, points=arr, tolerance=tolerance)
 
 
-def load_seb(path) -> SebInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or data.get("format") != SEB_FORMAT:
-        raise ValueError(f"{path}: missing or wrong format tag (want {SEB_FORMAT!r})")
-    dim = data.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ValueError(f"{path}: field 'dim' must be a positive int")
+def _seb_from(data: dict, path) -> SebInstance:
+    dim = _int_field(data, "dim", 1, math.inf, path)
     tol = data.get("tolerance", DEFAULT_TOLERANCE)
     if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not math.isfinite(tol) or tol < 0:
         raise ValueError(f"{path}: field 'tolerance' must be a finite non-negative number")
@@ -153,16 +179,18 @@ def load_seb(path) -> SebInstance:
     return make_seb(pts, dim=dim, tolerance=float(tol))
 
 
+def load_seb(path) -> SebInstance:
+    """Parse a seb-v1 file; an empty point list is the n = 0 instance."""
+    return _seb_from(_read_json(path, SEB_FORMAT), path)
+
+
 def save_seb(instance: SebInstance, path) -> None:
-    payload = {
+    _write_json({
         "format": SEB_FORMAT,
         "dim": instance.dim,
         "tolerance": instance.tolerance,
         "points": [[float(x) for x in p] for p in instance.points],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    }, path)
 
 
 def _point_tuples(instance: SebInstance) -> list[tuple[float, ...]]:
@@ -357,6 +385,21 @@ class SebSpace(ViolatorSpace):
 
     def violators(self, subset: int) -> int:
         return seb_violators(self.instance, subset)
+
+
+def load_space(path) -> ExplicitSpace | SebSpace:
+    """The space stored at `path`, read once and dispatched on its format tag.
+
+    violator-table-v1 gives an ExplicitSpace; seb-v1 gives a SebSpace,
+    whose violators stay implicit (tabulate it for a full table).
+    """
+    data = _read_json(path)
+    fmt = data.get("format")
+    if fmt == TABLE_FORMAT:
+        return _explicit_from(data, path)
+    if fmt == SEB_FORMAT:
+        return SebSpace(_seb_from(data, path))
+    raise ValueError(f"{path}: unknown format tag {fmt!r}")
 
 
 def tabulate(space: ViolatorSpace, certify: bool = True) -> ExplicitSpace:

@@ -7,11 +7,12 @@ import shutil
 import subprocess
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vspace.cli import main
+from vspace.cli import build_parser, main
 from vspace.hypercube import partition_to_space, random_partition
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -150,6 +151,18 @@ def test_tabulate(capsys, tmp_path):
     assert rc == 0
 
 
+def test_empty_point_set_is_the_empty_space(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"format": "seb-v1", "dim": 2, "points": []}))
+    table = tmp_path / "table.json"
+    for argv in (("check", str(path), "--dimension", "--sampling-lemma", "--nondegenerate"),
+                 ("solve", str(path), "--algo", "sa", "--seed", "1"),
+                 ("tabulate", str(path), "-o", str(table))):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 0, (argv, err)
+    assert json.loads(table.read_text())["table"] == [0]
+
+
 def test_tabulate_rejects_table_input(capsys):
     rc, _, err = run(capsys, "tabulate", f"{FIXTURES}/f1.json", "-o", "/dev/null")
     assert rc == 2
@@ -211,6 +224,20 @@ def test_bad_seed_rejected(capsys):
     capsys.readouterr()
 
 
+def test_integer_options_keep_their_syntax(capsys):
+    # seeds take base prefixes; counts are decimal, leading zeros allowed
+    parse = build_parser().parse_args
+    base = ["bench", "f.json", "--algo", "sa", "--out", "r.json"]
+    args = parse(base + ["--seed", "0x10", "--trials", "010", "--forever-traces", "0"])
+    assert (args.seed, args.trials, args.forever_traces) == (16, 10, 0)
+    for bad in (("--seed", "1", "--trials", "0x3"), ("--seed", "1", "--trials", "0"),
+                ("--seed", str(1 << 64), "--trials", "1"),
+                ("--seed", "1", "--trials", "1", "--forever-rounds", "-1")):
+        with pytest.raises(SystemExit):
+            parse(base + list(bad))
+    capsys.readouterr()
+
+
 def test_installed_entry_point(tmp_path):
     exe = shutil.which("vspace")
     if exe is None:
@@ -222,23 +249,40 @@ def test_installed_entry_point(tmp_path):
 
 
 @st.composite
-def table_files(draw):
-    """A well-formed violator-table-v1 payload with n in 0..4.
+def space_files(draw):
+    """A well-formed violator-table-v1 (n in 0..5) or seb-v1 (0..6 points) payload.
 
     Arbitrary tables mostly break consistency; consistent ones mostly break
-    locality; partition images pass the axioms and are nondegenerate.
+    locality; partition images pass the axioms and are nondegenerate. Point
+    sets in dimension 1..3 are uniform, on a small integer grid, collinear,
+    drawn with repeats from a few points, or all one point.
     """
-    n = draw(st.integers(0, 4))
-    full = (1 << n) - 1
-    kind = draw(st.sampled_from(("arbitrary", "consistent", "partition")))
-    if kind == "partition":
-        part = random_partition(n, random.Random(draw(st.integers(0, 2**32))))
-        table = partition_to_space(part, certify=False).table
+    kind = draw(st.sampled_from(("arbitrary", "consistent", "partition", "uniform",
+                                 "grid", "collinear", "duplicated", "identical")))
+    if kind in ("arbitrary", "consistent", "partition"):
+        n = draw(st.integers(0, 5))
+        full = (1 << n) - 1
+        if kind == "partition":
+            part = random_partition(n, random.Random(draw(st.integers(0, 2**32))))
+            table = partition_to_space(part, certify=False).table
+        else:
+            table = draw(st.lists(st.integers(0, full), min_size=1 << n, max_size=1 << n))
+            if kind == "consistent":
+                table = [v & ~g for g, v in enumerate(table)]
+        return {"format": "violator-table-v1", "n": n, "table": table}
+    dim, k = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if kind == "uniform":
+        pts = rng.random((k, dim))
+    elif kind == "grid":
+        pts = rng.integers(0, 3, (k, dim)).astype(float)
+    elif kind == "collinear":
+        pts = rng.random(dim) + rng.random((k, 1)) * rng.random(dim)
+    elif kind == "duplicated":
+        pts = rng.random((3, dim))[rng.integers(0, 3, k)]
     else:
-        table = draw(st.lists(st.integers(0, full), min_size=1 << n, max_size=1 << n))
-        if kind == "consistent":
-            table = [v & ~g for g, v in enumerate(table)]
-    return {"format": "violator-table-v1", "n": n, "table": table}
+        pts = np.repeat(rng.random((1, dim)), k, axis=0)
+    return {"format": "seb-v1", "dim": dim, "points": pts.tolist()}
 
 
 FUZZ_RUNS = (
@@ -253,13 +297,15 @@ FUZZ_RUNS = (
     ("bench", "--algo", "sa", "--trials", "2", "--seed", "1", "--forever-traces", "2",
      "--forever-rounds", "3", "--weight-checkpoints", "1"),
     ("composite",),
+    ("tabulate", "-o"),
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(table_files())
+@given(space_files())
 @example({"format": "violator-table-v1", "n": 1, "table": [0, 0]})
 @example({"format": "violator-table-v1", "n": 0, "table": [0]})
+@example({"format": "seb-v1", "dim": 2, "points": []})
 def test_cli_total_on_random_tables(payload):
     # Every command ends with an exit code, never an exception.
     with tempfile.TemporaryDirectory() as tmp:
@@ -270,6 +316,8 @@ def test_cli_total_on_random_tables(payload):
             argv = [command, str(path), *flags]
             if command == "bench":
                 argv += ["--out", out]
+            elif command == "tabulate":
+                argv.append(out)
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 rc = main(argv)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from vspace import harness
 from vspace.algorithms import german_algorithm, swiss_algorithm
 from vspace.harness import (
     BoundParams,
@@ -154,6 +155,17 @@ def test_sa_experiment_plain_has_no_tail(roster):
     assert "tail" not in rep and "weight_growth" not in rep
     assert len(rep["metrics"]) == 2
     assert rep["pass"]
+
+
+def test_sa_experiment_refuses_forever_traces_before_trials(roster, monkeypatch):
+    # seb8: d = 3, so r = min(8, ceil(2 * 9)) = 8 = n and sa_forever refuses
+    calls = []
+    monkeypatch.setattr(harness, "swiss_algorithm",
+                        lambda *a, **k: calls.append(a) or swiss_algorithm(*a, **k))
+    with pytest.raises(ValueError, match="must be below n=8"):
+        sa_experiment(roster["seb8"], trials=40, seed=5,
+                      forever_traces=200, forever_rounds=8)
+    assert calls == []
 
 
 def test_sa_experiment_deterministic(roster):
