@@ -47,6 +47,11 @@ class ViolatorSpace:
     dim_hint, when set, is a trusted upper bound on the combinatorial
     dimension; it is used wherever a dimension parameter is required and
     the exact value would be too expensive to compute.
+
+    A handle may also define extreme_candidates(subset): a mask holding
+    every element of `subset` whose removal changes V(subset), and maybe
+    more. It must hold them exactly, by the handle's own computation of
+    V and not by the axioms, since extreme_elements probes nothing else.
     """
 
     n: int
@@ -89,6 +94,12 @@ class RestrictedSpace(ViolatorSpace):
     def violators(self, subset: int) -> int:
         full = self.base.violators(expand(subset, self.support))
         return compress(full & self.support, self.support)
+
+    def extreme_candidates(self, subset: int) -> int:
+        candidates = getattr(self.base, "extreme_candidates", None)
+        if candidates is None:
+            return subset
+        return compress(candidates(expand(subset, self.support)) & self.support, self.support)
 
 
 def restrict(space: ViolatorSpace, support: int, dim_hint: int | None = None) -> RestrictedSpace:
@@ -222,10 +233,18 @@ def check_axioms(space: ViolatorSpace) -> AxiomReport:
 
 
 def extreme_elements(space: ViolatorSpace, subset: int) -> int:
-    """Elements s of the subset whose removal changes the violator set."""
+    """Elements s of the subset whose removal changes the violator set.
+
+    One leave-one-out oracle call per probed element. Every element is
+    probed unless the handle has extreme_candidates (see ViolatorSpace);
+    then only the candidates are, and the mask is still the one the full
+    scan gives. It is asked right after V(subset), so a handle can answer
+    from that evaluation.
+    """
     vr = space.violators(subset)
+    candidates = getattr(space, "extreme_candidates", None)
     out = 0
-    m = subset
+    m = subset if candidates is None else subset & candidates(subset)
     while m:
         low = m & -m
         if space.violators(subset ^ low) != vr:

@@ -316,7 +316,8 @@ def _ball_with_boundary(bpts, tol: float):
     return best
 
 
-def _mb(pts, sel, boundary: tuple[int, ...], tol: float, dim: int, balls: dict):
+def _mb(pts, sel, boundary: tuple[int, ...], tol: float, dim: int, balls: dict,
+        hits: list[int]):
     """Smallest ball of the points pts[j], j in sel, with the points
     pts[j], j in boundary, pinned to the sphere.
 
@@ -324,6 +325,7 @@ def _mb(pts, sel, boundary: tuple[int, ...], tol: float, dim: int, balls: dict):
     current ball must lie on the boundary of the true one. Deterministic
     index order, recursion depth <= dim+1. A boundary ball is a function
     of its ordered index tuple alone, so `balls` memoizes it exactly.
+    Every point that sets off a recursion is appended to `hits`.
     """
     if boundary in balls:
         ball = balls[boundary]
@@ -336,8 +338,20 @@ def _mb(pts, sel, boundary: tuple[int, ...], tol: float, dim: int, balls: dict):
             c, r2 = ball
             if _dist2(pts[j], c) <= r2 * (1.0 + tol):
                 continue
-        ball = _mb(pts, sel[:i], boundary + (j,), tol, dim, balls)
+        hits.append(j)
+        ball = _mb(pts, sel[:i], boundary + (j,), tol, dim, balls, hits)
     return ball
+
+
+def _ball(instance: SebInstance, subset: int, hits: list[int]):
+    """(center, r^2) of the smallest ball enclosing the nonempty `subset`.
+
+    The one place the recursion runs: miniball, seb_violators and SebSpace
+    all evaluate through here. `hits` collects the points that set off a
+    recursion (see SebSpace.extreme_candidates).
+    """
+    return _mb(_point_tuples(instance), elements(subset), (), instance.tolerance,
+               instance.dim, _ball_cache(instance), hits)
 
 
 def miniball(instance: SebInstance, subset: int) -> Ball:
@@ -348,9 +362,25 @@ def miniball(instance: SebInstance, subset: int) -> Ball:
     """
     if subset == 0:
         raise ValueError("miniball of the empty set is undefined")
-    center, r2 = _mb(_point_tuples(instance), elements(subset), (), instance.tolerance,
-                     instance.dim, _ball_cache(instance))
+    center, r2 = _ball(instance, subset, [])
     return Ball(center=center, radius=math.sqrt(r2))
+
+
+def _evaluate(instance: SebInstance, subset: int) -> tuple[int, list[int]]:
+    """Every point outside the smallest ball enclosing `subset` (members
+    included), and the points that set off a recursion of _mb on the way.
+
+    The empty set is unconstrained: every point is outside it.
+    """
+    if subset == 0:
+        return full_mask(instance.n), []
+    hits: list[int] = []
+    center, r2 = _ball(instance, subset, hits)
+    d2 = ((instance.points - np.asarray(center)) ** 2).sum(axis=1)
+    outside = 0
+    for i in np.flatnonzero(d2 > r2 * (1.0 + instance.tolerance)):
+        outside |= 1 << int(i)
+    return outside, hits
 
 
 def seb_violators(instance: SebInstance, subset: int) -> int:
@@ -359,32 +389,42 @@ def seb_violators(instance: SebInstance, subset: int) -> int:
     The empty set is unconstrained: every point violates it. Members of
     `subset` are never reported (consistency by construction).
     """
-    if subset == 0:
-        return full_mask(instance.n)
-    center, r2 = _mb(_point_tuples(instance), elements(subset), (), instance.tolerance,
-                     instance.dim, _ball_cache(instance))
-    d2 = ((instance.points - np.asarray(center)) ** 2).sum(axis=1)
-    outside = d2 > r2 * (1.0 + instance.tolerance)
-    mask = 0
-    for i in np.flatnonzero(outside):
-        mask |= 1 << int(i)
-    return mask & ~subset
+    return _evaluate(instance, subset)[0] & ~subset
 
 
 class SebSpace(ViolatorSpace):
     """Violator-space handle over a smallest-enclosing-ball instance.
 
     The declared dimension bound is dim+1 (a ball in R^d is pinned by at
-    most d+1 points).
+    most d+1 points). Each violators() call keeps what its recursion
+    found, so extreme_candidates() right after it costs no second one.
     """
 
     def __init__(self, instance: SebInstance):
         self.instance = instance
         self.n = instance.n
         self.dim_hint = instance.dim + 1
+        self._last = (None, 0, [])
 
     def violators(self, subset: int) -> int:
-        return seb_violators(self.instance, subset)
+        self._last = (subset, *_evaluate(self.instance, subset))
+        return self._last[1] & ~subset
+
+    def extreme_candidates(self, subset: int) -> int:
+        """The points that set off a recursion, plus members outside the ball.
+
+        Any other member s was met only where the step was a no-op, so the
+        recursion on subset minus s makes the same float operations on the
+        same boundary tuples and returns a bit-identical ball:
+        V(subset minus s) == V(subset), whatever the points.
+        """
+        if self._last[0] != subset:
+            self.violators(subset)
+        _, outside, hits = self._last
+        candidates = outside & subset
+        for j in hits:
+            candidates |= 1 << j
+        return candidates
 
 
 def load_space(path) -> ExplicitSpace | SebSpace:

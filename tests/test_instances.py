@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vspace import instances
-from vspace.core import check_axioms
+from vspace.core import FuncSpace, check_axioms, extreme_elements, find_basis, restrict
 from vspace.instances import (
     DEFAULT_TOLERANCE,
     ExplicitSpace,
@@ -24,6 +26,8 @@ from vspace.instances import (
     tabulate,
 )
 from vspace.subsets import full_mask
+
+SEB8 = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "seb8.json"
 
 
 def test_explicit_roundtrip(tmp_path, roster):
@@ -219,6 +223,108 @@ def test_ball_memo_matches_cold_recursion(monkeypatch, limit):
         sub = g ^ x
         assert miniball(warm, sub) == miniball(make_seb(pts), sub)
         assert seb_violators(warm, sub) == seb_violators(make_seb(pts), sub)
+
+
+def _assert_narrowing_exact(space, subsets):
+    # The generic handle has no extreme_candidates, so it probes every
+    # element: the narrowed pass must give the very same masks.
+    plain = FuncSpace(space.n, space.violators, dim_hint=space.dim_hint)
+    for g in subsets:
+        assert extreme_elements(space, g) == extreme_elements(plain, g), hex(g)
+        assert find_basis(space, g) == find_basis(plain, g), hex(g)
+
+
+def test_extreme_candidates_exact_on_every_subset_of_seb8():
+    space = SebSpace(load_seb(SEB8))
+    _assert_narrowing_exact(space, range(1 << space.n))
+
+
+def _clouds(dim: int, seed: int):
+    rng = np.random.default_rng(seed)
+    u = rng.random((12, dim))
+    yield u
+    yield np.concatenate([u[:7], u[:7]])                      # every point doubled
+    yield rng.integers(0, 3, (14, dim)).astype(float)         # integer grid
+    yield generate("sphere-surface", {"n": 12, "dim": dim}, seed).points
+    yield np.repeat(u[:3], 4, axis=0)                         # three points repeated
+    yield np.repeat(u[:1], 10, axis=0)                        # all points identical
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_extreme_candidates_exact_on_degenerate_clouds(dim):
+    rng = random.Random(dim)
+    for pts in _clouds(dim, 100 + dim):
+        space = SebSpace(make_seb(pts))
+        n = space.n
+        _assert_narrowing_exact(space, [0, full_mask(n)] + [rng.getrandbits(n) for _ in range(40)])
+        sub = restrict(space, rng.getrandbits(n) | 1)
+        _assert_narrowing_exact(sub, [0, full_mask(sub.n)] + [rng.getrandbits(sub.n) for _ in range(10)])
+
+
+def test_extreme_candidates_small_cases():
+    space = SebSpace(make_seb([(0.5, 0.5)]))
+    _assert_narrowing_exact(space, [0, 1])
+    assert space.extreme_candidates(0) == 0
+    assert space.extreme_candidates(1) == 1
+    # asking for another subset than the last one evaluated recomputes
+    inst = make_seb([(0.0, 0.0), (1.0, 0.0), (10.0, 0.0), (0.4, 0.1)])
+    space, fresh = SebSpace(inst), SebSpace(inst)
+    assert space.violators(0b1111) == 0
+    fresh.violators(0b1011)
+    assert space.extreme_candidates(0b1011) == fresh.extreme_candidates(0b1011)
+    assert extreme_elements(space, 0b1011) == 0b0011
+    # a restriction of a handle without the method probes every element
+    table = restrict(FuncSpace(3, lambda g: 0), 0b101)
+    assert table.extreme_candidates(0b11) == 0b11
+
+
+def test_members_outside_the_final_ball_are_candidates(monkeypatch):
+    # A member left outside the final ball (a return at full boundary does
+    # not recheck earlier points) changes V when removed, so it must be
+    # probed even if it never set off a recursion.
+    monkeypatch.setattr(instances, "_ball", lambda instance, subset, hits: ((0.0, 0.0), 1.0))
+    space = SebSpace(make_seb([(0.0, 0.0), (5.0, 0.0), (9.0, 0.0)]))
+    assert space.violators(0b011) == 0b100
+    assert space.extreme_candidates(0b011) == 0b010
+
+
+class _CountingHandle:
+    """Forwarding proxy that counts violators() calls, like a tracer's."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = 0
+
+    def violators(self, subset: int) -> int:
+        self.calls += 1
+        return self._inner.violators(subset)
+
+    def __getattr__(self, attr):
+        return getattr(self._inner, attr)
+
+
+def test_extreme_pass_evaluates_only_through_the_handle(monkeypatch):
+    # Every SEB evaluation of the pass must be a violators() call the proxy
+    # sees: the candidates come from the evaluation of V(G) itself, and no
+    # leave-one-out probe goes around the handle.
+    evaluated = []
+    real = instances._evaluate
+
+    def counting(instance, subset):
+        evaluated.append(subset)
+        return real(instance, subset)
+
+    monkeypatch.setattr(instances, "_evaluate", counting)
+    space = SebSpace(generate("uniform-square", {"n": 60, "dim": 2}, 5))
+    g = full_mask(60) & ~0b1001
+    for handle in (space, restrict(space, full_mask(60))):
+        proxy = _CountingHandle(handle)
+        evaluated.clear()
+        x = extreme_elements(proxy, g)
+        assert len(evaluated) == proxy.calls
+        assert evaluated[0] == g
+        assert proxy.calls < 1 + g.bit_count()      # the pass was narrowed
+        assert x == extreme_elements(FuncSpace(60, space.violators), g)
 
 
 def test_sebspace_hint_and_tabulate():
