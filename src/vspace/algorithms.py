@@ -35,7 +35,7 @@ from .subsets import expand
 
 
 class SolverStall(RuntimeError):
-    """Sampling loop hit its safety cap; the partial trace is attached."""
+    """A solver hit its round cap; the partial trace is attached."""
 
     def __init__(self, message: str, trace: RunTrace):
         super().__init__(message)
@@ -126,10 +126,10 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
     Each round computes a basis B of the working set (inner="bfa": find_basis;
     inner="sa": the swiss algorithm on the restriction) and merges V(B) into
     the working set; V(B) == V(working set) by locality, and a round with
-    violators adds an element of every basis of H, so d+1 rounds always suffice.
-    When n <= r the sample would be everything, so the inner solver is
-    invoked directly on the full space (recorded as a delegated trace
-    with zero rounds).
+    violators adds an element of every basis of H, so d+1 rounds always suffice
+    (past them it raises SolverStall). When n <= r the sample would be
+    everything, so the inner solver is invoked directly on the full space
+    (recorded as a delegated trace with zero rounds).
     """
     if inner not in ("bfa", "sa"):
         raise ValueError(f"inner solver must be 'bfa' or 'sa', got {inner!r}")
@@ -152,9 +152,10 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
     calls = 0
     while True:
         if calls >= d + 1:
-            raise RuntimeError(
+            raise SolverStall(
                 f"basis loop ran past {d + 1} rounds; the handle does not "
-                f"satisfy the violator-space axioms")
+                f"satisfy the violator-space axioms",
+                RunTrace(kind="ga", initial=sample, rounds=tuple(recs), terminated_cleanly=False))
         calls += 1
         if inner == "bfa":
             b = find_basis(space, g)

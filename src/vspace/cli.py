@@ -94,22 +94,19 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     space = _load(args.file)
     result = None
-    if args.algo == "bfa":
-        basis = find_basis(space, space.ground)
-    elif args.algo == "ga":
-        result = german_algorithm(space, args.seed, inner=args.inner)
-        basis = result.basis
-    else:
-        try:
+    try:
+        if args.algo == "ga":
+            result = german_algorithm(space, args.seed, inner=args.inner)
+        elif args.algo == "sa":
             result = swiss_algorithm(space, args.seed, c=args.c)
-        except SolverStall as stall:
-            print("algorithm: sa")
-            print(f"stalled: {stall}")
-            if args.trace:
-                write_trace_csv(args.trace, [(0, stall.trace)])
-                print(f"trace: {args.trace}")
-            return 1
-        basis = result.basis
+    except SolverStall as stall:
+        print(f"algorithm: {args.algo}")
+        print(f"stalled: {stall}")
+        if args.trace:
+            write_trace_csv(args.trace, [(0, stall.trace)])
+            print(f"trace: {args.trace}")
+        return 1
+    basis = find_basis(space, space.ground) if result is None else result.basis
     v = space.violators(basis)
     print(f"algorithm: {args.algo}")
     names = " ".join(str(e) for e in elements(basis))

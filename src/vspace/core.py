@@ -10,6 +10,9 @@ Monotonicity (F subset of E subset of G and V(F) == V(G) implies
 V(E) == V(F)) follows from the two axioms and is checked separately as a
 sanity property on small ground sets.
 
+Bases and the dimension are read off the extreme elements X(G), those
+whose removal changes V(G): under the axioms B is a basis iff X(B) == B.
+
 Subsets are bitmasks (see subsets.py). All operations here are exact
 integer arithmetic.
 """
@@ -24,14 +27,12 @@ from .subsets import (
     full_mask,
     interval_hull,
     iter_by_size_then_value,
-    iter_submasks,
     iter_submasks_ascending,
 )
 
 AXIOM_CHECK_LIMIT = 20        # full 2^n enumeration beyond this is refused
 MONOTONE_CHECK_LIMIT = 12     # triple enumeration is refused above this
 DIMENSION_LIMIT = 16
-IS_BASIS_LIMIT = 20
 FIND_BASIS_SIZE_LIMIT = 24
 MAX_COUNTEREXAMPLES = 16
 DEFAULT_BASIS_BUDGET = 1 << 22
@@ -156,6 +157,9 @@ class RunTrace:
 def check_axioms(space: ViolatorSpace) -> AxiomReport:
     """Exhaustively verify consistency and locality; monotonicity on small n.
 
+    Locality is checked one added element at a time, in n 2^n steps:
+    V(F | {x}) == V(F) for consistent F and x outside F | V(F). These steps
+    chain to the full axiom, and a failing one is itself a counterexample.
     Refuses n > 20 rather than silently sampling. Monotonicity is only
     enumerated for n <= 12 and reported as None above that. At most 16
     counterexamples are recorded.
@@ -181,10 +185,11 @@ def check_axioms(space: ViolatorSpace) -> AxiomReport:
         vf = table[f]
         if f & vf:
             continue  # no superset of f can avoid V(f)
-        allowed = full & ~(f | vf)
-        s = allowed
-        while s:
-            g = f | s
+        m = full & ~(f | vf)
+        while m:
+            low = m & -m
+            m ^= low
+            g = f | low
             if table[g] != vf:
                 local = False
                 if len(witnesses) < MAX_COUNTEREXAMPLES:
@@ -193,7 +198,6 @@ def check_axioms(space: ViolatorSpace) -> AxiomReport:
                         f"V(F) == {vf:#x} but V(G) == {table[g]:#x} with G & V(F) == 0"))
                 else:
                     break
-            s = (s - 1) & allowed
         if not local and len(witnesses) >= MAX_COUNTEREXAMPLES:
             break
 
@@ -292,15 +296,12 @@ def find_basis(space: ViolatorSpace, subset: int, *,
 
 
 def is_basis(space: ViolatorSpace, subset: int) -> bool:
-    """True iff every proper subset leaves a violator inside `subset`."""
-    if subset.bit_count() > IS_BASIS_LIMIT:
-        raise ValueError("is_basis refused: subset too large to enumerate")
-    for f in iter_submasks(subset):
-        if f == subset:
-            continue
-        if subset & space.violators(f) == 0:
-            return False
-    return True
+    """True iff every proper subset leaves a violator inside `subset`.
+
+    Assumes the axioms, under which that fails exactly when some element
+    of `subset` is not extreme (by locality, monotonicity and consistency).
+    """
+    return extreme_elements(space, subset) == subset
 
 
 def anti_basis(space: ViolatorSpace, subset: int) -> int:
@@ -316,22 +317,12 @@ def anti_basis(space: ViolatorSpace, subset: int) -> int:
     return space.ground & ~space.violators(subset)
 
 
-def combinatorial_dimension(space: ViolatorSpace, *, budget: int = DEFAULT_BASIS_BUDGET) -> int:
-    """Size of the largest basis, by exhausting all 2^n subsets.
-
-    Works because a largest basis B is its own minimum-cardinality basis:
-    no proper subset of B shares its violator set, so find_basis(B) == B.
-    """
+def combinatorial_dimension(space: ViolatorSpace) -> int:
+    """Size of the largest basis, by is_basis on all 2^n subsets (assumes the axioms)."""
     n = space.n
     if n > DIMENSION_LIMIT:
         raise ValueError(f"dimension computation refused: n={n} exceeds {DIMENSION_LIMIT}")
-    best = 0
-    for g in range(1 << n):
-        b = find_basis(space, g, budget=budget)
-        k = b.bit_count()
-        if k > best:
-            best = k
-    return best
+    return max(g.bit_count() for g in range(1 << n) if is_basis(space, g))
 
 
 def is_nondegenerate(space: ViolatorSpace) -> bool:

@@ -42,11 +42,12 @@ LOG2_E = math.log2(math.e)
 
 @dataclass(frozen=True)
 class SamplingStats:
-    """Exact expectations over uniform r-subsets: E|V(R)| and E|X(R)|."""
+    """Exact expectations over uniform r-subsets, E|V(R)| and E|X(R)|, and max |X(R)|."""
 
     r: int
     v: Fraction
     x: Fraction
+    x_max: int
 
 
 @dataclass(frozen=True)
@@ -91,12 +92,12 @@ def exact_sampling_stats(space: ViolatorSpace, r: int) -> SamplingStats:
     if not 0 <= r <= n:
         raise ValueError(f"subset size {r} outside [0, {n}]")
     total_v = 0
-    total_x = 0
+    xs = []
     for mask in iter_size_k_submasks(full_mask(n), r):
         total_v += space.violators(mask).bit_count()
-        total_x += extreme_elements(space, mask).bit_count()
+        xs.append(extreme_elements(space, mask).bit_count())
     count = math.comb(n, r)
-    return SamplingStats(r, Fraction(total_v, count), Fraction(total_x, count))
+    return SamplingStats(r, Fraction(total_v, count), Fraction(sum(xs), count), max(xs))
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def verify_sampling_lemma(space: ViolatorSpace, d: int | None = None) -> Samplin
         rows.append(SamplingIdentityRow(
             r=r, v=v, x_next=x_next, lhs=lhs, rhs=rhs, equal=lhs == rhs,
             corollary_bound=cor, corollary_ok=v <= cor))
-    extreme_ok = all(extreme_elements(space, mask).bit_count() <= d for mask in range(1 << n))
+    extreme_ok = all(s.x_max <= d for s in stats)
     return SamplingReport(n, d, tuple(rows), extreme_ok)
 
 
@@ -164,6 +165,17 @@ def _mean_ci95(values) -> tuple[float, float, float]:
     return mean, mean - half, mean + half
 
 
+def _finished_trials(solve, trials: int, seed: int) -> tuple[list, int]:
+    """solve(spawn(seed, t)) for each trial t that raises no SolverStall, and the stall count."""
+    results = []
+    for t in range(trials):
+        try:
+            results.append(solve(spawn(seed, t)))
+        except SolverStall:
+            pass
+    return results, trials - len(results)
+
+
 def ga_experiment(space: ViolatorSpace, trials: int, seed: int,
                   inner: str = "bfa") -> dict:
     """Seeded german-algorithm trials with the round and size bounds.
@@ -172,25 +184,21 @@ def ga_experiment(space: ViolatorSpace, trials: int, seed: int,
     Size bound: the mean of the final working-set size is compared to
     2(d+1)sqrt(n/2) with 5 percent slack, and a 95 percent confidence
     interval for that mean is reported. Delegated trials (n <= r) count
-    the whole ground set as their working set.
+    the whole ground set as their working set. Stalled trials are left out
+    and, only if there are any, counted in the summary and a failing metric.
     """
     d = resolve_dimension(space)
     n = space.n
     r = german_sample_size(d, n)
-    rounds = []
-    max_working = []
-    delegated = 0
-    for t in range(trials):
-        res = german_algorithm(space, spawn(seed, t), inner=inner)
-        rounds.append(len(res.trace.rounds))
-        if res.trace.delegated:
-            delegated += 1
-            max_working.append(n)
-        else:
-            max_working.append(max(rec.working.bit_count() for rec in res.trace.rounds))
+    traces, stalled = _finished_trials(
+        lambda s: german_algorithm(space, s, inner=inner).trace, trials, seed)
+    rounds = [len(tr.rounds) for tr in traces]
+    delegated = sum(tr.delegated for tr in traces)
+    max_working = [n if tr.delegated else max(rec.working.bit_count() for rec in tr.rounds)
+                   for tr in traces]
     size_bound = 2.0 * (d + 1) * math.sqrt(n / 2.0)
-    mean, lo, hi = _mean_ci95(max_working)
-    rounds_max = max(rounds)
+    mean, lo, hi = _mean_ci95(max_working) if max_working else (math.inf,) * 3
+    rounds_max = max(rounds, default=0)
     metrics = [
         {"name": "inner calls <= d+1", "measured": rounds_max,
          "bound": d + 1, "pass": rounds_max <= d + 1},
@@ -198,16 +206,21 @@ def ga_experiment(space: ViolatorSpace, trials: int, seed: int,
          "measured": mean, "bound": size_bound * 1.05,
          "pass": mean <= size_bound * 1.05},
     ]
+    summary = {"rounds_max": rounds_max,
+               "rounds_mean": statistics.fmean(rounds) if rounds else math.inf,
+               "delegated_trials": delegated,
+               "max_working_mean": mean,
+               "max_working_ci95": [lo, hi],
+               "size_bound": size_bound}
+    if stalled:
+        metrics.append({"name": "trials finishing before the safety cap",
+                        "measured": trials - stalled, "bound": trials, "pass": False})
+        summary["stalled"] = stalled
     return {
         "experiment": "ga",
         "config": {"n": n, "d": d, "r": r, "inner": inner,
                    "trials": trials, "seed": seed},
-        "summary": {"rounds_max": rounds_max,
-                    "rounds_mean": statistics.fmean(rounds),
-                    "delegated_trials": delegated,
-                    "max_working_mean": mean,
-                    "max_working_ci95": [lo, hi],
-                    "size_bound": size_bound},
+        "summary": summary,
         "per_trial": {"rounds": rounds, "max_working": max_working},
         "metrics": metrics,
         "pass": all(m["pass"] for m in metrics),
@@ -250,15 +263,8 @@ def sa_experiment(space: ViolatorSpace, trials: int, seed: int,
         prefixes.append(_controversial_prefix(trace))
         for rec in trace.rounds:
             weight_sums[rec.index] += rec.weight_total
-    rounds = []
-    stalled = 0
-    for t in range(trials):
-        try:
-            res = swiss_algorithm(space, spawn(seed, t), c=c)
-        except SolverStall:
-            stalled += 1
-            continue
-        rounds.append(len(res.trace.rounds))
+    rounds, stalled = _finished_trials(
+        lambda s: len(swiss_algorithm(space, s, c=c).trace.rounds), trials, seed)
     round_bound = params.round_bound()
     mean_rounds = statistics.fmean(rounds) if rounds else math.inf
     metrics = [

@@ -322,3 +322,33 @@ def test_cli_total_on_random_tables(payload):
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 rc = main(argv)
             assert rc in (0, 1, 2), (argv, rc)
+
+
+# Stalls are failed checks (exit 1): the german cap, forced by declaring
+# d = 0 to the solver, and inner swiss runs capped at one round, which
+# stall in 5 of these 30 trials.
+STALLS = (
+    ("resolve_dimension", lambda space: 0, ("solve", "--algo", "ga", "--seed", "1")),
+    ("default_safety_cap", lambda d, n: 1,
+     ("bench", "--algo", "ga", "--inner", "sa", "--trials", "30", "--seed", "3")),
+)
+
+
+@pytest.mark.parametrize("name, patch, argv", STALLS, ids=("ga-cap", "ga-inner-sa"))
+def test_cli_stalls_exit_one(capsys, monkeypatch, tmp_path, name, patch, argv):
+    monkeypatch.setattr(f"vspace.algorithms.{name}", patch)
+    out_path = tmp_path / "out"
+    command, *flags = argv
+    flag = "--trace" if command == "solve" else "--out"
+    rc, out, err = run(capsys, command, f"{FIXTURES}/interval12.json", *flags,
+                       flag, str(out_path))
+    assert rc == 1, err
+    assert err == ""
+    if command == "solve":
+        assert "stalled: basis loop ran past 1 rounds" in out and "axioms" in out
+        lines = out_path.read_text().splitlines()
+        assert lines[0].startswith("trial,round") and len(lines) == 2
+    else:
+        assert "FAIL  trials finishing before the safety cap: measured=25 bound=30" in out
+        report = json.loads(out_path.read_text())
+        assert report["summary"]["stalled"] == 5 and len(report["per_trial"]["rounds"]) == 25

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from vspace.core import (
     resolve_dimension,
     restrict,
 )
+from vspace.hypercube import enumerate_partitions, partition_to_space, random_partition
 from vspace.instances import ExplicitSpace, tabulate
 from vspace.subsets import compress, expand, full_mask, iter_by_size_then_value, iter_submasks
 
@@ -149,8 +153,6 @@ def test_is_basis_rejects_oversized(roster):
     f1 = roster["f1"]
     assert not is_basis(f1, 0b011)
     assert is_basis(f1, 0b001)
-    with pytest.raises(ValueError):
-        is_basis(FuncSpace(30, lambda g: 0), full_mask(30))
 
 
 def _max_equivalent_superset(space, g):
@@ -281,3 +283,92 @@ def test_interval12_duality_random(roster, subset):
             continue
         assert (vr >> s & 1) == \
             (extreme_elements(space, subset | 1 << s) >> s & 1)
+
+
+# Brute-force oracles for what the library decides by theorem: locality by
+# walking every superset, is_basis by walking every submask, and the
+# dimension by a basis search on every subset.
+
+def axioms_by_walks(space):
+    """(consistent, local, monotone), walking every pair F subset of G and,
+    for monotonicity, every E between them."""
+    t = [space.violators(g) for g in range(1 << space.n)]
+    pairs = [(f, g) for g in range(len(t)) for f in iter_submasks(g)]
+    consistent = all(g & t[g] == 0 for g in range(len(t)))
+    local = all(t[g] == t[f] for f, g in pairs if g & t[f] == 0)
+    monotone = all(t[f | e] == t[f] for f, g in pairs if t[f] == t[g]
+                   for e in iter_submasks(g & ~f))
+    return consistent, local, monotone
+
+
+def is_basis_by_submasks(space, subset):
+    return all(subset & space.violators(f) for f in iter_submasks(subset) if f != subset)
+
+
+def dimension_by_sweep(space):
+    return max(plain_find_basis(space, g).bit_count() for g in range(1 << space.n))
+
+
+def assert_matches_oracles(space):
+    """Compare check_axioms, and on passing spaces the dimension and
+    is_basis, with the walks; returns whether the axioms hold."""
+    report = check_axioms(space)
+    consistent, local, monotone = axioms_by_walks(space)
+    assert (report.consistent, report.local, report.monotone) == (consistent, local, monotone)
+    assert report.ok == (consistent and local and monotone)
+    for ce in report.counterexamples:
+        if ce.axiom == "locality":
+            vf = space.violators(ce.f)
+            assert ce.f & ~ce.g == 0 and ce.g & vf == 0 and space.violators(ce.g) != vf
+    if report.ok:
+        assert combinatorial_dimension(space) == dimension_by_sweep(space)
+        for b in range(1 << space.n):
+            assert is_basis(space, b) == is_basis_by_submasks(space, b), b
+    return report.ok
+
+
+@pytest.mark.parametrize("key", ROSTER_KEYS)
+def test_checks_match_oracles_on_roster(roster, key):
+    assert assert_matches_oracles(roster[key])
+
+
+def test_checks_match_oracles_on_every_small_table():
+    # n = 2: all 256 tables; n = 3: all 4096 consistent tables (V(G) avoids G)
+    every2 = [range(4)] * 4
+    consistent3 = [list(iter_submasks(full_mask(3) & ~g)) for g in range(8)]
+    for n, choices, passing in ((2, every2, 9), (3, consistent3, 246)):
+        ok = [assert_matches_oracles(ExplicitSpace(n, list(combo)))
+              for combo in itertools.product(*choices)]
+        assert sum(ok) == passing
+
+
+def test_checks_match_oracles_on_partition_images():
+    images = [partition_to_space(part, certify=False) for part in enumerate_partitions(3)]
+    assert len(images) == 154
+    assert all(assert_matches_oracles(space) for space in images)
+
+
+@st.composite
+def small_tables(draw):
+    """n = 4 or 5: arbitrary, consistent, partition-image, or a partition
+    image with one entry replaced by a consistent value."""
+    n = draw(st.integers(4, 5))
+    full = full_mask(n)
+    kind = draw(st.sampled_from(("arbitrary", "consistent", "partition", "perturbed")))
+    if kind in ("partition", "perturbed"):
+        part = random_partition(n, random.Random(draw(st.integers(0, 2**32))))
+        table = list(partition_to_space(part, certify=False).table)
+        if kind == "perturbed":
+            g = draw(st.integers(0, full))
+            table[g] = draw(st.integers(0, full)) & ~g
+        return ExplicitSpace(n, table)
+    table = draw(st.lists(st.integers(0, full), min_size=1 << n, max_size=1 << n))
+    if kind == "consistent":
+        table = [v & ~g for g, v in enumerate(table)]
+    return ExplicitSpace(n, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_tables())
+def test_checks_match_oracles_on_random_tables(space):
+    assert_matches_oracles(space)

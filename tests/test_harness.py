@@ -28,6 +28,15 @@ def test_exact_stats_frozen_f1(roster):
     got = [exact_sampling_stats(space, r) for r in range(4)]
     assert [s.v for s in got] == [Fraction(3), Fraction(1), Fraction(1, 3), Fraction(0)]
     assert [s.x for s in got] == [Fraction(0), Fraction(1), Fraction(1), Fraction(1)]
+    assert [s.x_max for s in got] == [0, 1, 1, 1]
+
+
+def test_extreme_bound_reads_the_largest_extreme_count(roster):
+    # seb8 has dimension 3, and some subset has three extreme elements
+    space = roster["seb8"]
+    assert max(exact_sampling_stats(space, r).x_max for r in range(9)) == 3
+    assert verify_sampling_lemma(space, d=3).extreme_bound_ok
+    assert not verify_sampling_lemma(space, d=2).extreme_bound_ok
 
 
 def test_exact_stats_refusals():
@@ -106,6 +115,7 @@ def test_ga_experiment_structure(roster):
     assert lo <= rep["summary"]["max_working_mean"] <= hi
     assert [m["name"] for m in rep["metrics"]] == [
         "inner calls <= d+1", "mean final working-set size, 5% slack"]
+    assert "stalled" not in rep["summary"]
     assert rep["pass"]
 
 
@@ -115,6 +125,18 @@ def test_ga_experiment_deterministic(roster):
     assert a == b
     c = ga_experiment(roster["interval12"], trials=25, seed=8)
     assert a != c
+
+
+def test_ga_experiment_counts_stalls_when_every_trial_stalls(roster, monkeypatch):
+    # declaring d = 0 to the solver caps every german run at one round
+    monkeypatch.setattr("vspace.algorithms.resolve_dimension", lambda space: 0)
+    rep = ga_experiment(roster["interval12"], trials=4, seed=1)
+    assert rep["summary"]["stalled"] == 4
+    assert rep["summary"]["rounds_max"] == 0
+    assert rep["per_trial"] == {"rounds": [], "max_working": []}
+    assert rep["metrics"][-1] == {"name": "trials finishing before the safety cap",
+                                  "measured": 0, "bound": 4, "pass": False}
+    assert not rep["pass"]
 
 
 def test_ga_experiment_delegated(roster):
