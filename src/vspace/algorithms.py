@@ -129,7 +129,8 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
     violators adds an element of every basis of H, so d+1 rounds always suffice
     (past them it raises SolverStall). When n <= r the sample would be
     everything, so the inner solver is invoked directly on the full space
-    (recorded as a delegated trace with zero rounds).
+    (recorded as a delegated trace with zero rounds). A stalled inner swiss
+    run raises SolverStall with the german rounds finished before it.
     """
     if inner not in ("bfa", "sa"):
         raise ValueError(f"inner solver must be 'bfa' or 'sa', got {inner!r}")
@@ -140,6 +141,8 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
         if inner == "bfa":
             basis = find_basis(space, space.ground)
         else:
+            # n <= r implies n <= 2d^2, so this swiss run delegates too and
+            # cannot stall.
             basis = swiss_algorithm(space, spawn(seed, 1)).basis
         trace = RunTrace(kind="ga", initial=None, rounds=(),
                          terminated_cleanly=True, delegated=True)
@@ -160,7 +163,13 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
         if inner == "bfa":
             b = find_basis(space, g)
         else:
-            b = _swiss_on_restriction(space, g, spawn(seed, calls), d)
+            try:
+                b = _swiss_on_restriction(space, g, spawn(seed, calls), d)
+            except SolverStall as stall:
+                raise SolverStall(
+                    f"inner swiss run stalled: {stall}",
+                    RunTrace(kind="ga", initial=sample, rounds=tuple(recs),
+                             terminated_cleanly=False)) from stall
         v = space.violators(b)
         recs.append(RoundRecord(index=calls, sample=g, basis=b,
                                 violators=v, working=g | v))
@@ -189,15 +198,15 @@ def _doubling_rounds(space: ViolatorSpace, seed: int, r: int, weights: WeightMap
                           slips=r, weight_total=weights.total)
 
 
-def swiss_algorithm(space: ViolatorSpace, seed: int, c: float = 2.0,
-                    max_rounds: int | None = None) -> SolveResult:
+def swiss_algorithm(space: ViolatorSpace, seed: int, c: float = 2.0) -> SolveResult:
     """Weight-doubling solver.
 
     Rounds draw a weighted sample R, compute its basis B = find_basis(R),
     and double the weight of every global violator of B; a round with no
     violators ends the run. When n <= r the solver degenerates to
     find_basis on the full ground set (delegated trace, zero rounds).
-    Exceeding the safety cap raises SolverStall with the trace attached.
+    Exceeding the safety cap, default_safety_cap(d, n) rounds, raises
+    SolverStall with the trace attached.
     """
     d = resolve_dimension(space)
     n = space.n
@@ -208,7 +217,7 @@ def swiss_algorithm(space: ViolatorSpace, seed: int, c: float = 2.0,
                          terminated_cleanly=True, delegated=True)
         return SolveResult(basis, trace, 1)
 
-    cap = default_safety_cap(d, n) if max_rounds is None else max_rounds
+    cap = default_safety_cap(d, n)
     weights = WeightMap.unit(n)
     recs: list[RoundRecord] = []
     for rec in _doubling_rounds(space, seed, r, weights, cap):

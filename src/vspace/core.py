@@ -43,16 +43,20 @@ class BudgetExceeded(RuntimeError):
 
 
 class ViolatorSpace:
-    """Handle for a violator space: a ground-set size and a violator map.
+    """Handle for a violator space: the one interface the solvers see.
 
-    dim_hint, when set, is a trusted upper bound on the combinatorial
-    dimension; it is used wherever a dimension parameter is required and
-    the exact value would be too expensive to compute.
+    A handle subclasses ViolatorSpace and defines `n` and
+    `violators(subset)`. The optional parts have their defaults here:
 
-    A handle may also define extreme_candidates(subset): a mask holding
-    every element of `subset` whose removal changes V(subset), and maybe
-    more. It must hold them exactly, by the handle's own computation of
-    V and not by the axioms, since extreme_elements probes nothing else.
+    dim_hint defaults to None. When set, it is a trusted upper bound on
+    the combinatorial dimension, used wherever a dimension parameter is
+    required; when unset, resolve_dimension fills it with the exact one.
+
+    extreme_candidates(subset) defaults to the whole subset. A handle may
+    return less: a mask holding every element of `subset` whose removal
+    changes V(subset), and maybe more. It must hold them exactly, by the
+    handle's own computation of V and not by the axioms, since
+    extreme_elements probes nothing else.
     """
 
     n: int
@@ -60,6 +64,9 @@ class ViolatorSpace:
 
     def violators(self, subset: int) -> int:
         raise NotImplementedError
+
+    def extreme_candidates(self, subset: int) -> int:
+        return subset
 
     @property
     def ground(self) -> int:
@@ -97,10 +104,8 @@ class RestrictedSpace(ViolatorSpace):
         return compress(full & self.support, self.support)
 
     def extreme_candidates(self, subset: int) -> int:
-        candidates = getattr(self.base, "extreme_candidates", None)
-        if candidates is None:
-            return subset
-        return compress(candidates(expand(subset, self.support)) & self.support, self.support)
+        full = self.base.extreme_candidates(expand(subset, self.support))
+        return compress(full & self.support, self.support)
 
 
 def restrict(space: ViolatorSpace, support: int, dim_hint: int | None = None) -> RestrictedSpace:
@@ -239,16 +244,15 @@ def check_axioms(space: ViolatorSpace) -> AxiomReport:
 def extreme_elements(space: ViolatorSpace, subset: int) -> int:
     """Elements s of the subset whose removal changes the violator set.
 
-    One leave-one-out oracle call per probed element. Every element is
-    probed unless the handle has extreme_candidates (see ViolatorSpace);
-    then only the candidates are, and the mask is still the one the full
-    scan gives. It is asked right after V(subset), so a handle can answer
-    from that evaluation.
+    One leave-one-out oracle call per element of the handle's
+    extreme_candidates (see ViolatorSpace), which by default are all of
+    them; the mask is the one the full scan gives. The candidates are
+    asked right after V(subset), so a handle can answer from that
+    evaluation.
     """
     vr = space.violators(subset)
-    candidates = getattr(space, "extreme_candidates", None)
     out = 0
-    m = subset if candidates is None else subset & candidates(subset)
+    m = subset & space.extreme_candidates(subset)
     while m:
         low = m & -m
         if space.violators(subset ^ low) != vr:
@@ -257,8 +261,7 @@ def extreme_elements(space: ViolatorSpace, subset: int) -> int:
     return out
 
 
-def find_basis(space: ViolatorSpace, subset: int, *,
-               budget: int = DEFAULT_BASIS_BUDGET) -> int:
+def find_basis(space: ViolatorSpace, subset: int) -> int:
     """Minimum-cardinality B within `subset` with V(B) & subset == 0.
 
     The result is the first such B in (popcount, numeric value) order, so
@@ -275,7 +278,8 @@ def find_basis(space: ViolatorSpace, subset: int, *,
     in exactly the global (popcount, numeric) order, since OR with the
     disjoint X adds a constant to both keys. The returned mask is
     therefore identical to that of the plain scan over all of `subset`,
-    which tests/test_core.py keeps as the oracle for this search.
+    which tests/test_core.py keeps as the oracle for this search. More
+    than DEFAULT_BASIS_BUDGET evaluations raise BudgetExceeded.
     """
     g = subset
     size = g.bit_count()
@@ -287,8 +291,8 @@ def find_basis(space: ViolatorSpace, subset: int, *,
     evals = size + 1
     for extra in iter_by_size_then_value(g & ~x):
         evals += 1
-        if evals > budget:
-            raise BudgetExceeded(f"basis search exceeded {budget} evaluations")
+        if evals > DEFAULT_BASIS_BUDGET:
+            raise BudgetExceeded(f"basis search exceeded {DEFAULT_BASIS_BUDGET} evaluations")
         b = x | extra
         if space.violators(b) & g == 0:
             return b
@@ -325,6 +329,17 @@ def combinatorial_dimension(space: ViolatorSpace) -> int:
     return max(g.bit_count() for g in range(1 << n) if is_basis(space, g))
 
 
+def _fibers(space: ViolatorSpace, what: str):
+    """Every subset grouped by its violator set, each group in ascending order."""
+    n = space.n
+    if n > DIMENSION_LIMIT:
+        raise ValueError(f"{what} refused: n={n} exceeds {DIMENSION_LIMIT}")
+    fibers: dict[int, list[int]] = {}
+    for g in range(1 << n):
+        fibers.setdefault(space.violators(g), []).append(g)
+    return fibers.values()
+
+
 def is_nondegenerate(space: ViolatorSpace) -> bool:
     """True iff every fiber {G : V(G) == v} is an interval of the subset lattice.
 
@@ -333,27 +348,20 @@ def is_nondegenerate(space: ViolatorSpace) -> bool:
     then exactly the intervals [B, H minus V(B)] (Gaertner, Matousek, Ruest
     and Skovron 2008). On other handles the answer means nothing.
     """
-    n = space.n
-    if n > DIMENSION_LIMIT:
-        raise ValueError(f"nondegeneracy check refused: n={n} exceeds {DIMENSION_LIMIT}")
-    fibers: dict[int, list[int]] = {}
-    for g in range(1 << n):
-        fibers.setdefault(space.violators(g), []).append(g)
-    return all(interval_hull(f) is not None for f in fibers.values())
+    return all(interval_hull(f) is not None for f in _fibers(space, "nondegeneracy check"))
 
 
 def resolve_dimension(space: ViolatorSpace) -> int:
-    """dim_hint when declared, else the exact computed dimension (cached)."""
-    if space.dim_hint is not None:
-        return space.dim_hint
-    cached = getattr(space, "_dim_cache", None)
-    if cached is None:
-        cached = combinatorial_dimension(space)
-        try:
-            space._dim_cache = cached
-        except AttributeError:
-            pass
-    return cached
+    """The handle's dim_hint, first filled with the exact dimension when unset.
+
+    The exact d is a valid hint. Its one other reader is find_basis's
+    refusal of sets above FIND_BASIS_SIZE_LIMIT without a hint, and a
+    filled hint never meets one: combinatorial_dimension refuses
+    n > DIMENSION_LIMIT.
+    """
+    if space.dim_hint is None:
+        space.dim_hint = combinatorial_dimension(space)
+    return space.dim_hint
 
 
 def composite_rounds(space: ViolatorSpace, subset: int, depth: int | None = None) -> RunTrace:

@@ -13,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import check_axioms, find_basis, ViolatorSpace
+from .core import _fibers, check_axioms, find_basis, ViolatorSpace
 from .instances import ExplicitSpace, _int_field, _read_json, _write_json
 from .subsets import full_mask, interval_hull, iter_submasks, iter_submasks_ascending
 
@@ -100,12 +100,7 @@ class ViolationPattern:
 
 
 def violation_pattern(space: ViolatorSpace) -> ViolationPattern:
-    if space.n > 16:
-        raise ValueError(f"pattern extraction refused: n={space.n} exceeds 16")
-    fibers: dict[int, list[int]] = {}
-    for g in range(1 << space.n):
-        fibers.setdefault(space.violators(g), []).append(g)
-    classes = tuple(sorted(tuple(sorted(c)) for c in fibers.values()))
+    classes = tuple(sorted(tuple(c) for c in _fibers(space, "pattern extraction")))
     return ViolationPattern(space.n, classes)
 
 
@@ -222,25 +217,22 @@ class RoundtripReport:
     all_roundtrip: bool
     injective: bool
     table_bijection: bool | None    # None when the all-tables sweep was skipped
-    fixture_failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
         return (self.all_axioms and self.all_nondegenerate and self.all_roundtrip
-                and self.injective and self.table_bijection is not False
-                and not self.fixture_failures)
+                and self.injective and self.table_bijection is not False)
 
 
-def roundtrip_check(n: int, spaces=()) -> RoundtripReport:
+def roundtrip_check(n: int) -> RoundtripReport:
     """Both directions of the pattern/partition correspondence.
 
     Partition side: every enumerated partition maps to a certified
     nondegenerate space whose pattern is the original partition, with no
     two partitions sharing a table. For n <= 3 the space side is swept
     too: the partition images are exactly the nondegenerate axiom-passing
-    tables. Optional `spaces` are checked fixture-style: pattern is a
-    partition and regenerating from it reproduces the table. Nondegeneracy
-    is decided by its definition, so the fiber-interval theorem is tested.
+    tables. Nondegeneracy is decided by its definition, so the
+    fiber-interval theorem is tested.
     """
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"roundtrip refused: n={n} exceeds {ENUMERATION_LIMIT}")
@@ -264,20 +256,7 @@ def roundtrip_check(n: int, spaces=()) -> RoundtripReport:
     bijection: bool | None = None
     if n <= 3:
         bijection = tables == _all_nondegenerate_tables(n)
-
-    failures = []
-    for i, space in enumerate(spaces):
-        label = getattr(space, "name", f"space[{i}]")
-        pat = violation_pattern(space)
-        flag, witness = pattern_is_hypercube_partition(pat)
-        if not flag:
-            failures.append(f"{label}: class {witness} is not an interval")
-            continue
-        rebuilt = partition_to_space(pattern_to_partition(pat), certify=False)
-        if rebuilt.table != list(space.violators(g) for g in range(1 << space.n)):
-            failures.append(f"{label}: regenerated table differs")
-    return RoundtripReport(n, count, all_ax, all_nd, all_rt, injective,
-                           bijection, tuple(failures))
+    return RoundtripReport(n, count, all_ax, all_nd, all_rt, injective, bijection)
 
 
 def load_partition(path) -> HypercubePartition:

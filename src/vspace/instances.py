@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,28 +192,6 @@ def save_seb(instance: SebInstance, path) -> None:
     }, path)
 
 
-def _point_tuples(instance: SebInstance) -> list[tuple[float, ...]]:
-    # Plain tuples keep the recursion below out of numpy's per-call
-    # overhead; cached on the (frozen) instance after the first use.
-    cached = getattr(instance, "_tuples", None)
-    if cached is None:
-        cached = [tuple(map(float, row)) for row in instance.points]
-        object.__setattr__(instance, "_tuples", cached)
-    return cached
-
-
-def _ball_cache(instance: SebInstance) -> dict:
-    # Boundary balls keyed by the ordered tuple of their point indices.
-    # The solvers ask for V(G) and V(G minus x) for every x in G; those
-    # recursions share every prefix before x, so most boundary balls
-    # repeat. Emptied when it outgrows BALL_CACHE_LIMIT entries.
-    cached = getattr(instance, "_balls", None)
-    if cached is None or len(cached) > BALL_CACHE_LIMIT:
-        cached = {}
-        object.__setattr__(instance, "_balls", cached)
-    return cached
-
-
 def _dot(a, b) -> float:
     s = 0.0
     for x, y in zip(a, b):
@@ -343,17 +320,6 @@ def _mb(pts, sel, boundary: tuple[int, ...], tol: float, dim: int, balls: dict,
     return ball
 
 
-def _ball(instance: SebInstance, subset: int, hits: list[int]):
-    """(center, r^2) of the smallest ball enclosing the nonempty `subset`.
-
-    The one place the recursion runs: miniball, seb_violators and SebSpace
-    all evaluate through here. `hits` collects the points that set off a
-    recursion (see SebSpace.extreme_candidates).
-    """
-    return _mb(_point_tuples(instance), elements(subset), (), instance.tolerance,
-               instance.dim, _ball_cache(instance), hits)
-
-
 def miniball(instance: SebInstance, subset: int) -> Ball:
     """Smallest enclosing ball of the points selected by `subset`.
 
@@ -362,25 +328,8 @@ def miniball(instance: SebInstance, subset: int) -> Ball:
     """
     if subset == 0:
         raise ValueError("miniball of the empty set is undefined")
-    center, r2 = _ball(instance, subset, [])
+    center, r2 = SebSpace(instance)._ball(subset, [])
     return Ball(center=center, radius=math.sqrt(r2))
-
-
-def _evaluate(instance: SebInstance, subset: int) -> tuple[int, list[int]]:
-    """Every point outside the smallest ball enclosing `subset` (members
-    included), and the points that set off a recursion of _mb on the way.
-
-    The empty set is unconstrained: every point is outside it.
-    """
-    if subset == 0:
-        return full_mask(instance.n), []
-    hits: list[int] = []
-    center, r2 = _ball(instance, subset, hits)
-    d2 = ((instance.points - np.asarray(center)) ** 2).sum(axis=1)
-    outside = 0
-    for i in np.flatnonzero(d2 > r2 * (1.0 + instance.tolerance)):
-        outside |= 1 << int(i)
-    return outside, hits
 
 
 def seb_violators(instance: SebInstance, subset: int) -> int:
@@ -389,7 +338,7 @@ def seb_violators(instance: SebInstance, subset: int) -> int:
     The empty set is unconstrained: every point violates it. Members of
     `subset` are never reported (consistency by construction).
     """
-    return _evaluate(instance, subset)[0] & ~subset
+    return SebSpace(instance).violators(subset)
 
 
 class SebSpace(ViolatorSpace):
@@ -404,11 +353,41 @@ class SebSpace(ViolatorSpace):
         self.instance = instance
         self.n = instance.n
         self.dim_hint = instance.dim + 1
+        # Plain tuples keep the recursion out of numpy's per-call overhead.
+        self._points = [tuple(map(float, row)) for row in instance.points]
+        # Boundary balls keyed by the ordered tuple of their point indices.
+        # The solvers ask for V(G) and V(G minus x) for every x in G; those
+        # recursions share every prefix before x, so most boundary balls
+        # repeat. Emptied when it outgrows BALL_CACHE_LIMIT entries.
+        self._balls: dict = {}
         self._last = (None, 0, [])
 
+    def _ball(self, subset: int, hits: list[int]):
+        """(center, r^2) of the smallest ball enclosing the nonempty `subset`.
+
+        The one place the recursion runs. `hits` collects the points that
+        set off a recursion (see extreme_candidates).
+        """
+        if len(self._balls) > BALL_CACHE_LIMIT:
+            self._balls = {}
+        inst = self.instance
+        return _mb(self._points, elements(subset), (), inst.tolerance, inst.dim,
+                   self._balls, hits)
+
     def violators(self, subset: int) -> int:
-        self._last = (subset, *_evaluate(self.instance, subset))
-        return self._last[1] & ~subset
+        """Every point outside the smallest ball enclosing `subset`, members
+        left out; the empty set is unconstrained, so every point is outside it.
+        """
+        outside, hits = full_mask(self.n), []
+        if subset:
+            center, r2 = self._ball(subset, hits)
+            inst = self.instance
+            d2 = ((inst.points - np.asarray(center)) ** 2).sum(axis=1)
+            outside = 0
+            for i in np.flatnonzero(d2 > r2 * (1.0 + inst.tolerance)):
+                outside |= 1 << int(i)
+        self._last = (subset, outside, hits)
+        return outside & ~subset
 
     def extreme_candidates(self, subset: int) -> int:
         """The points that set off a recursion, plus members outside the ball.
@@ -457,11 +436,8 @@ def tabulate(space: ViolatorSpace, certify: bool = True) -> ExplicitSpace:
 def generate(kind: str, params: dict, seed: int):
     """Seeded instance generators.
 
-    kinds: "uniform-square" (points in the unit cube), "sphere-surface"
-    (points on the unit sphere, a deliberately degenerate cloud),
-    "explicit-random-nondegenerate" (random interval partition of the
-    hypercube turned into a certified table), "degenerate-fixture" (a
-    fixed two-element table with a non-unique basis).
+    kinds: "uniform-square" (points in the unit cube) and "sphere-surface"
+    (points on the unit sphere, a deliberately degenerate cloud).
     """
     if kind == "uniform-square":
         n = int(params.get("n"))
@@ -479,17 +455,4 @@ def generate(kind: str, params: dict, seed: int):
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         return make_seb(raw / norms, dim=dim, tolerance=tol)
-    if kind == "explicit-random-nondegenerate":
-        from .hypercube import partition_to_space, random_partition
-
-        n = int(params.get("n"))
-        if n > 6:
-            raise ValueError("random nondegenerate tables are limited to n <= 6")
-        rng = random.Random(spawn(seed, 0))
-        part = random_partition(n, rng)
-        return partition_to_space(part)
-    if kind == "degenerate-fixture":
-        from .fixtures import f2_space
-
-        return f2_space()
     raise ValueError(f"unknown generator kind {kind!r}")

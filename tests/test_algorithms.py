@@ -206,12 +206,13 @@ def test_swiss_deterministic(roster):
     assert a == b
 
 
-def test_swiss_stall_carries_trace(roster):
+def test_swiss_stall_carries_trace(roster, monkeypatch):
+    monkeypatch.setattr("vspace.algorithms.default_safety_cap", lambda d, n: 1)
     space = roster["interval12"]
     stalled = None
     for seed in range(40):
         try:
-            swiss_algorithm(space, seed=seed, max_rounds=1)
+            swiss_algorithm(space, seed=seed)
         except SolverStall as exc:
             stalled = exc
             break

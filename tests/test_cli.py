@@ -352,3 +352,16 @@ def test_cli_stalls_exit_one(capsys, monkeypatch, tmp_path, name, patch, argv):
         assert "FAIL  trials finishing before the safety cap: measured=25 bound=30" in out
         report = json.loads(out_path.read_text())
         assert report["summary"]["stalled"] == 5 and len(report["per_trial"]["rounds"]) == 25
+
+
+def test_cli_inner_swiss_stall_writes_the_german_trace(capsys, monkeypatch, tmp_path):
+    # With inner swiss runs capped at one round, seed 2 stalls in german
+    # round 2. The trace holds german round 1 (sample 5 of 12, working set
+    # 10), not the inner run's round (8 slips, weight total 12).
+    monkeypatch.setattr("vspace.algorithms.default_safety_cap", lambda d, n: 1)
+    out_path = tmp_path / "s.csv"
+    rc, out, err = run(capsys, "solve", f"{FIXTURES}/interval12.json", "--algo", "ga",
+                       "--inner", "sa", "--seed", "2", "--trace", str(out_path))
+    assert rc == 1, err
+    assert "stalled: inner swiss run stalled: no violator-free basis within 1 rounds" in out
+    assert out_path.read_text().splitlines()[1:] == ["0,1,5,5,5,10,1"]

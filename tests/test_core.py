@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vspace.algorithms import german_algorithm, swiss_algorithm
 from vspace.core import (
     BudgetExceeded,
     FuncSpace,
+    ViolatorSpace,
     anti_basis,
     check_axioms,
     combinatorial_dimension,
@@ -137,9 +139,10 @@ def test_find_basis_requires_hint_for_large_sets():
     assert find_basis(space_hinted, full_mask(30)) == 0
 
 
-def test_find_basis_budget(roster):
+def test_find_basis_budget(roster, monkeypatch):
+    monkeypatch.setattr("vspace.core.DEFAULT_BASIS_BUDGET", 1)
     with pytest.raises(BudgetExceeded):
-        find_basis(roster["f1"], 0b111, budget=1)
+        find_basis(roster["f1"], 0b111)
 
 
 def test_find_basis_no_candidate():
@@ -230,7 +233,39 @@ def test_resolve_dimension_prefers_hint():
     assert resolve_dimension(space) == 7
     plain = FuncSpace(4, lambda g: 0)
     assert resolve_dimension(plain) == 0
-    assert plain._dim_cache == 0
+    assert plain.dim_hint == 0
+
+
+class _TableHandle(ViolatorSpace):
+    """A handle that defines only what the protocol requires: n and violators."""
+
+    def __init__(self, table):
+        self.n = (len(table) - 1).bit_length()
+        self._table = table
+        self.calls = 0
+
+    def violators(self, subset: int) -> int:
+        self.calls += 1
+        return self._table[subset]
+
+
+def test_handle_with_only_n_and_violators(roster):
+    # Every optional hook has its default on ViolatorSpace, so the solvers
+    # run on such a handle and match the same table as an ExplicitSpace.
+    table = roster["interval12"]
+    space = _TableHandle(table.table)
+    for g in (0, 0b101101, 0b110000000011, space.ground):
+        assert extreme_elements(space, g) == extreme_elements(table, g)
+        assert find_basis(space, g) == find_basis(table, g)
+    assert space.dim_hint is None
+    d = resolve_dimension(space)
+    assert d == space.dim_hint == dimension_by_sweep(table)
+    calls = space.calls
+    assert resolve_dimension(space) == d and space.calls == calls
+    for seed in range(4):
+        for inner in ("bfa", "sa"):
+            assert german_algorithm(space, seed, inner) == german_algorithm(table, seed, inner)
+        assert swiss_algorithm(space, seed) == swiss_algorithm(table, seed)
 
 
 def test_composite_frozen_f1(roster):

@@ -184,15 +184,6 @@ def test_roundtrip_check_skips_table_sweep_at_4():
     assert report.ok
 
 
-def test_roundtrip_check_fixture_spaces(roster):
-    report = roundtrip_check(1, spaces=(roster["f1"],))
-    assert report.ok and report.fixture_failures == ()
-    report = roundtrip_check(1, spaces=(roster["f1"], roster["f2"]))
-    assert not report.ok
-    assert len(report.fixture_failures) == 1
-    assert "not an interval" in report.fixture_failures[0]
-
-
 def test_roundtrip_refuses_large_n():
     with pytest.raises(ValueError):
         roundtrip_check(5)

@@ -212,17 +212,20 @@ def test_seb_violators_semantics():
 @pytest.mark.parametrize("limit", [4, 1 << 10])
 def test_ball_memo_matches_cold_recursion(monkeypatch, limit):
     # A leave-one-out sweep, as the extreme-element pass makes it, on one
-    # warm instance must give bit-identical balls and violator sets to a
-    # fresh instance per call; limit 4 also exercises emptying the memo.
+    # warm handle must give bit-identical balls, violator sets and
+    # candidates to a fresh handle per call; limit 4 also exercises
+    # emptying the memo.
     monkeypatch.setattr(instances, "BALL_CACHE_LIMIT", limit)
     pts = np.random.default_rng(7).random((24, 2))
-    pts = np.concatenate([pts, pts[:6]])       # duplicates: degenerate supports
-    warm = make_seb(pts)
-    g = full_mask(len(pts)) & ~0b101
-    for x in [0] + [1 << i for i in range(len(pts)) if g >> i & 1]:
+    inst = make_seb(np.concatenate([pts, pts[:6]]))   # duplicates: degenerate supports
+    warm = SebSpace(inst)
+    g = full_mask(inst.n) & ~0b101
+    for x in [0] + [1 << i for i in range(inst.n) if g >> i & 1]:
         sub = g ^ x
-        assert miniball(warm, sub) == miniball(make_seb(pts), sub)
-        assert seb_violators(warm, sub) == seb_violators(make_seb(pts), sub)
+        assert warm._ball(sub, []) == SebSpace(inst)._ball(sub, [])
+        fresh = SebSpace(inst)
+        assert warm.violators(sub) == fresh.violators(sub)
+        assert warm.extreme_candidates(sub) == fresh.extreme_candidates(sub)
 
 
 def _assert_narrowing_exact(space, subsets):
@@ -282,7 +285,7 @@ def test_members_outside_the_final_ball_are_candidates(monkeypatch):
     # A member left outside the final ball (a return at full boundary does
     # not recheck earlier points) changes V when removed, so it must be
     # probed even if it never set off a recursion.
-    monkeypatch.setattr(instances, "_ball", lambda instance, subset, hits: ((0.0, 0.0), 1.0))
+    monkeypatch.setattr(SebSpace, "_ball", lambda self, subset, hits: ((0.0, 0.0), 1.0))
     space = SebSpace(make_seb([(0.0, 0.0), (5.0, 0.0), (9.0, 0.0)]))
     assert space.violators(0b011) == 0b100
     assert space.extreme_candidates(0b011) == 0b010
@@ -308,13 +311,13 @@ def test_extreme_pass_evaluates_only_through_the_handle(monkeypatch):
     # sees: the candidates come from the evaluation of V(G) itself, and no
     # leave-one-out probe goes around the handle.
     evaluated = []
-    real = instances._evaluate
+    real = SebSpace._ball
 
-    def counting(instance, subset):
+    def counting(self, subset, hits):
         evaluated.append(subset)
-        return real(instance, subset)
+        return real(self, subset, hits)
 
-    monkeypatch.setattr(instances, "_evaluate", counting)
+    monkeypatch.setattr(SebSpace, "_ball", counting)
     space = SebSpace(generate("uniform-square", {"n": 60, "dim": 2}, 5))
     g = full_mask(60) & ~0b1001
     for handle in (space, restrict(space, full_mask(60))):
@@ -356,19 +359,6 @@ def test_generate_sphere_surface():
     inst = generate("sphere-surface", {"n": 12, "dim": 3}, 5)
     norms = np.linalg.norm(inst.points, axis=1)
     assert np.allclose(norms, 1.0)
-
-
-def test_generate_random_nondegenerate_table():
-    from vspace.core import is_nondegenerate
-    space = generate("explicit-random-nondegenerate", {"n": 4}, 17)
-    assert isinstance(space, ExplicitSpace)
-    assert space.certified and space.axiom_report.ok
-    assert is_nondegenerate(space)
-
-
-def test_generate_degenerate_fixture():
-    space = generate("degenerate-fixture", {}, 0)
-    assert space.table == [3, 0, 0, 0]
 
 
 def test_generate_unknown_kind():
