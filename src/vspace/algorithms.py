@@ -72,7 +72,7 @@ class WeightMap:
         return tuple(self.mu)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     basis: int
     trace: RunTrace

@@ -132,7 +132,7 @@ class AxiomReport:
         return self.consistent and self.local and self.monotone is not False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     """One round of an iterative solver run (or of the composite iteration)."""
 
@@ -149,7 +149,7 @@ class RoundRecord:
         return self.violators != 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunTrace:
     kind: str                          # "ga" | "sa" | "sa-forever" | "composite"
     initial: int | None
@@ -276,10 +276,21 @@ def find_basis(space: ViolatorSpace, subset: int) -> int:
     V(subset\\{s}) == V(subset), contradicting extremeness. Candidates
     X | extra with the extras walked in (popcount, numeric) order appear
     in exactly the global (popcount, numeric) order, since OR with the
-    disjoint X adds a constant to both keys. The returned mask is
-    therefore identical to that of the plain scan over all of `subset`,
-    which tests/test_core.py keeps as the oracle for this search. More
-    than DEFAULT_BASIS_BUDGET evaluations raise BudgetExceeded.
+    disjoint X adds a constant to both keys.
+
+    Locality also decides some candidates without an oracle call. Every
+    walked candidate is invalid (the walk did not stop there), and its V
+    is kept. If b minus {e} is one of them and e is not in V(b minus {e}),
+    then b meets no violator of b minus {e} (the rest of b avoids them
+    by consistency), so locality gives V(b) == V(b minus {e}): b is
+    invalid too, and its V is kept without asking the handle. Skipped
+    candidates are never valid, so the
+    returned mask is identical to that of the plain scan over all of
+    `subset`, which the tests keep as the oracle for this search. Like the
+    extreme pruning, this assumes the axioms; on tables that break them
+    the result may differ from the scan. Every candidate, asked or
+    skipped, is one evaluation, and more than DEFAULT_BASIS_BUDGET of them
+    raise BudgetExceeded.
     """
     g = subset
     size = g.bit_count()
@@ -289,14 +300,31 @@ def find_basis(space: ViolatorSpace, subset: int) -> int:
 
     x = extreme_elements(space, g)
     evals = size + 1
+    walked: dict[int, int] = {}   # V(X | extra) of every candidate walked so far
     for extra in iter_by_size_then_value(g & ~x):
         evals += 1
         if evals > DEFAULT_BASIS_BUDGET:
             raise BudgetExceeded(f"basis search exceeded {DEFAULT_BASIS_BUDGET} evaluations")
-        b = x | extra
-        if space.violators(b) & g == 0:
-            return b
+        v = _decided_by_locality(walked, extra)
+        if v is None:
+            b = x | extra
+            v = space.violators(b)
+            if v & g == 0:
+                return b
+        walked[extra] = v
     raise ValueError(f"no basis below {g:#x}: consistency fails there")
+
+
+def _decided_by_locality(walked: dict[int, int], extra: int) -> int | None:
+    """V(X | extra) if some walked X | extra minus {e} has e outside its V, else None."""
+    m = extra
+    while m:
+        e = m & -m
+        m ^= e
+        v = walked.get(extra ^ e)
+        if v is not None and not v & e:
+            return v
+    return None
 
 
 def is_basis(space: ViolatorSpace, subset: int) -> bool:

@@ -383,9 +383,8 @@ class SebSpace(ViolatorSpace):
             center, r2 = self._ball(subset, hits)
             inst = self.instance
             d2 = ((inst.points - np.asarray(center)) ** 2).sum(axis=1)
-            outside = 0
-            for i in np.flatnonzero(d2 > r2 * (1.0 + inst.tolerance)):
-                outside |= 1 << int(i)
+            bits = np.packbits(d2 > r2 * (1.0 + inst.tolerance), bitorder="little")
+            outside = int.from_bytes(bits.tobytes(), "little")
         self._last = (subset, outside, hits)
         return outside & ~subset
 

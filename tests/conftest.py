@@ -12,6 +12,7 @@ from vspace.fixtures import (
 from vspace.hypercube import partition_to_space, random_partition
 from vspace.instances import SebSpace, generate, tabulate
 from vspace.seeding import spawn
+from vspace.subsets import iter_by_size_then_value
 
 FIXTURE_SEED = 20260817
 
@@ -34,6 +35,14 @@ def build_roster() -> dict:
         "hpart4": hpart,
         "interval12": interval_space(),
     }
+
+
+def plain_find_basis(space, subset):
+    """Oracle for find_basis: the unpruned (popcount, value) scan of `subset`."""
+    for b in iter_by_size_then_value(subset):
+        if space.violators(b) & subset == 0:
+            return b
+    raise ValueError(f"no basis below {subset:#x}")
 
 
 @pytest.fixture(scope="session")

@@ -27,6 +27,8 @@ from vspace.instances import (
 )
 from vspace.subsets import full_mask
 
+from conftest import plain_find_basis
+
 SEB8 = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "seb8.json"
 
 
@@ -230,11 +232,12 @@ def test_ball_memo_matches_cold_recursion(monkeypatch, limit):
 
 def _assert_narrowing_exact(space, subsets):
     # The generic handle has no extreme_candidates, so it probes every
-    # element: the narrowed pass must give the very same masks.
+    # element: the narrowed pass must give the very same masks, and the
+    # basis search the mask of the unpruned scan.
     plain = FuncSpace(space.n, space.violators, dim_hint=space.dim_hint)
     for g in subsets:
         assert extreme_elements(space, g) == extreme_elements(plain, g), hex(g)
-        assert find_basis(space, g) == find_basis(plain, g), hex(g)
+        assert find_basis(space, g) == plain_find_basis(plain, g), hex(g)
 
 
 def test_extreme_candidates_exact_on_every_subset_of_seb8():
@@ -291,15 +294,16 @@ def test_members_outside_the_final_ball_are_candidates(monkeypatch):
     assert space.extreme_candidates(0b011) == 0b010
 
 
-class _CountingHandle:
-    """Forwarding proxy that counts violators() calls, like a tracer's."""
+class _RecordingHandle:
+    """Forwarding proxy that records every mask violators() is asked for,
+    like a tracer's."""
 
     def __init__(self, inner):
         self._inner = inner
-        self.calls = 0
+        self.asked: list[int] = []
 
     def violators(self, subset: int) -> int:
-        self.calls += 1
+        self.asked.append(subset)
         return self._inner.violators(subset)
 
     def __getattr__(self, attr):
@@ -321,13 +325,38 @@ def test_extreme_pass_evaluates_only_through_the_handle(monkeypatch):
     space = SebSpace(generate("uniform-square", {"n": 60, "dim": 2}, 5))
     g = full_mask(60) & ~0b1001
     for handle in (space, restrict(space, full_mask(60))):
-        proxy = _CountingHandle(handle)
+        proxy = _RecordingHandle(handle)
         evaluated.clear()
         x = extreme_elements(proxy, g)
-        assert len(evaluated) == proxy.calls
-        assert evaluated[0] == g
-        assert proxy.calls < 1 + g.bit_count()      # the pass was narrowed
+        assert len(evaluated) == len(proxy.asked)
+        assert proxy.asked[0] == g
+        assert len(proxy.asked) < 1 + g.bit_count()     # the pass was narrowed
         assert x == extreme_elements(FuncSpace(60, space.violators), g)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_find_basis_asks_nothing_locality_decided(dim):
+    # Every point doubled: no copy is extreme, so the enumeration walks
+    # pairs and triples. No candidate it asks for may be one whose V
+    # locality already gave: b minus {e} asked, with e outside its V.
+    doubled = list(_clouds(dim, 100 + dim))[1]
+    space = SebSpace(make_seb(doubled))
+    n = space.n
+    rng = random.Random(dim)
+    for g in [full_mask(n)] + [rng.getrandbits(n) for _ in range(20)]:
+        proxy = _RecordingHandle(space)
+        x = extreme_elements(proxy, g)
+        pass_asks = len(proxy.asked)
+        basis = find_basis(proxy, g)
+        assert basis == plain_find_basis(space, g), hex(g)
+        candidates = proxy.asked[2 * pass_asks:]    # after find_basis's own pass
+        v = {b: space.violators(b) for b in candidates}
+        for b in candidates:
+            m = b & ~x
+            while m:
+                e = m & -m
+                m ^= e
+                assert b ^ e not in v or v[b ^ e] & e, (hex(g), hex(b), e)
 
 
 def test_sebspace_hint_and_tabulate():
