@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Write every seeded CLI output of a fixed command list into OUTDIR.
+
+The inputs are the shipped fixtures plus seeded point clouds: 300 planar
+points, 340 points of which 40 are duplicates, 30- and 40-point clouds
+with every point doubled in 2 and 3 dimensions, and 60 points on the
+unit sphere. Each command runs through `vspace.cli.main` inside OUTDIR,
+with relative paths, and its exit code, stdout and stderr go to
+`stdout/<name>.txt` next to the files it writes. Two checkouts give the
+same bytes exactly when `diff -r` of their OUTDIRs is empty:
+
+    PYTHONPATH=src python3 scripts/golden_outputs.py /tmp/new
+    PYTHONPATH=../other/src python3 scripts/golden_outputs.py /tmp/old
+    diff -r /tmp/old /tmp/new
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import pathlib
+import shutil
+
+import numpy as np
+
+from vspace.cli import main as cli_main
+from vspace.instances import generate, make_seb, save_seb
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ("f1", "f2", "interval12", "seb8")
+SEED = 20260817
+
+SOLVES = (
+    ("bfa", ("--algo", "bfa")),
+    ("ga", ("--algo", "ga")),
+    ("ga-sa", ("--algo", "ga", "--inner", "sa")),
+    ("sa", ("--algo", "sa")),
+)
+BENCHES = (
+    ("ga", ("--algo", "ga", "--trials", "20")),
+    ("ga-sa", ("--algo", "ga", "--inner", "sa", "--trials", "20")),
+    ("sa", ("--algo", "sa", "--trials", "20")),
+    ("sa-forever", ("--algo", "sa", "--trials", "20", "--forever-traces", "200",
+                    "--forever-rounds", "8", "--weight-checkpoints", "2")),
+)
+
+
+def write_clouds(indir: pathlib.Path) -> list[str]:
+    """Store the seeded point clouds; returns their names."""
+    uniform = generate("uniform-square", {"n": 300, "dim": 2}, SEED).points
+    clouds = {
+        "uniform300": uniform,
+        "dupes340": np.concatenate([uniform, uniform[:40]]),
+    }
+    for dim in (2, 3):
+        for k in (30, 40):
+            pts = generate("uniform-square", {"n": k, "dim": dim}, SEED + dim).points
+            clouds[f"doubled{2 * k}-d{dim}"] = np.concatenate([pts, pts])
+    clouds["sphere60"] = generate("sphere-surface", {"n": 60, "dim": 3}, SEED).points
+    for name, pts in clouds.items():
+        save_seb(make_seb(pts), indir / f"{name}.json")
+    return list(clouds)
+
+
+def run(name: str, argv: list[str]) -> None:
+    """One CLI call; its exit code and both streams go to stdout/<name>.txt."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli_main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    with open(f"stdout/{name}.txt", "w", encoding="utf-8") as fh:
+        fh.write(f"$ vspace {' '.join(argv)}\nexit: {rc}\n{out.getvalue()}")
+        if err.getvalue():
+            fh.write(f"stderr:\n{err.getvalue()}")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("outdir", type=pathlib.Path)
+    outdir = ap.parse_args().outdir.resolve()
+    for sub in ("inputs", "stdout", "traces", "reports", "tables"):
+        (outdir / sub).mkdir(parents=True, exist_ok=True)
+    for name in FIXTURES:
+        shutil.copyfile(ROOT / "fixtures" / f"{name}.json", outdir / "inputs" / f"{name}.json")
+    clouds = write_clouds(outdir / "inputs")
+    os.chdir(outdir)
+
+    for name in FIXTURES:
+        src = f"inputs/{name}.json"
+        run(f"check-{name}", ["check", src, "--dimension", "--sampling-lemma", "--nondegenerate"])
+        run(f"composite-{name}", ["composite", src])
+    for name in FIXTURES + tuple(clouds):
+        src = f"inputs/{name}.json"
+        for algo, flags in SOLVES:
+            run(f"solve-{algo}-{name}",
+                ["solve", src, *flags, "--seed", "7", "--trace", f"traces/{algo}-{name}.csv"])
+    for name in FIXTURES + ("uniform300", "doubled80-d3", "sphere60"):
+        src = f"inputs/{name}.json"
+        # The forever traces on the cospherical cloud alone would take minutes.
+        for algo, flags in BENCHES[:3] if name == "sphere60" else BENCHES:
+            run(f"bench-{algo}-{name}",
+                ["bench", src, *flags, "--seed", "12", "--out", f"reports/{algo}-{name}.json"])
+    run("tabulate-seb8", ["tabulate", "inputs/seb8.json", "-o", "tables/seb8.json"])
+    run("hypercube-roundtrip-3", ["hypercube", "roundtrip", "--n", "3"])
+    count = sum(1 for p in outdir.rglob("*") if p.is_file())
+    print(f"wrote {count} files under {outdir}")
+
+
+if __name__ == "__main__":
+    main()

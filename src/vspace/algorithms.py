@@ -111,7 +111,10 @@ def german_sample_size(d: int, n: int) -> int:
 
 def swiss_sample_size(d: int, n: int, c: float = 2.0) -> int:
     """Slips per weight-doubling round, r = min(n, max(1, ceil(c d^2)))."""
-    return min(n, max(1, math.ceil(c * d * d)))
+    r = c * d * d
+    if r >= n:      # also when the product overflowed to inf
+        return n
+    return min(n, math.ceil(max(r, 1.0)))
 
 
 def _swiss_on_restriction(space: ViolatorSpace, subset: int, seed: int, d: int) -> int:

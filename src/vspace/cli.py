@@ -203,6 +203,17 @@ def _int_arg(low: int, high: float, message: str, base: int = 10):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
 _seed_type = _int_arg(0, 1 << 64, "seed must fit in 64 bits", base=0)
 _positive = _int_arg(1, math.inf, "must be positive")
 _nonneg = _int_arg(0, math.inf, "must be nonnegative")
@@ -230,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--inner", choices=("bfa", "sa"), default="bfa",
                    help="inner solver for --algo ga")
     s.add_argument("--seed", type=_seed_type, required=True)
-    s.add_argument("--c", type=float, default=2.0,
+    s.add_argument("--c", type=_finite_float, default=2.0,
                    help="sample-size multiplier for --algo sa (r = ceil(c d^2))")
     s.add_argument("--trace", metavar="CSV",
                    help="write the per-round trace to this file")
@@ -242,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--trials", type=_positive, required=True)
     b.add_argument("--seed", type=_seed_type, required=True)
     b.add_argument("--inner", choices=("bfa", "sa"), default="bfa")
-    b.add_argument("--c", type=float, default=2.0)
-    b.add_argument("--beta", type=float, default=2.0)
+    b.add_argument("--c", type=_finite_float, default=2.0)
+    b.add_argument("--beta", type=_finite_float, default=2.0)
     b.add_argument("--forever-traces", type=_nonneg, default=0,
                    help="fixed-length instrumented runs for the tail estimate")
     b.add_argument("--forever-rounds", type=_nonneg, default=0)

@@ -56,7 +56,9 @@ class BoundParams:
 
     alpha = 2^((log2(e) - c) / (c d)) is the per-round decay rate of the
     probability that every round so far had violators; it is below 1
-    exactly when c > log2(e). At d = 0 it takes its limit, 0.
+    exactly when c > log2(e). At d = 0 it takes its limit, 0. A c so
+    large or so close to log2(e) that alpha rounds to 1 leaves no decay
+    to bound the rounds with, and is refused too.
     """
 
     d: int
@@ -74,7 +76,10 @@ class BoundParams:
             raise ValueError(f"c={self.c} must exceed log2(e)={LOG2_E:.6f} for decay")
         if self.d == 0:
             return 0.0
-        return 2.0 ** ((LOG2_E - self.c) / (self.c * self.d))
+        alpha = 2.0 ** ((LOG2_E - self.c) / (self.c * self.d))
+        if alpha >= 1.0:
+            raise ValueError(f"c={self.c} leaves no decay at d={self.d}: alpha rounds to 1")
+        return alpha
 
     def round_bound(self) -> float:
         """beta * log_{1/alpha}(n) + 1, the expected-round budget; 1 at its limits."""

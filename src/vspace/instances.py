@@ -293,16 +293,18 @@ def _ball_with_boundary(bpts, tol: float):
     return best
 
 
-def _mb(pts, sel, boundary: tuple[int, ...], tol: float, dim: int, balls: dict,
-        hits: list[int]):
-    """Smallest ball of the points pts[j], j in sel, with the points
+def _mb(pts, order: list[int], end: int, boundary: tuple[int, ...], tol: float,
+        dim: int, balls: dict, hits: list[int]):
+    """Smallest ball of the points pts[j], j in order[:end], with the points
     pts[j], j in boundary, pinned to the sphere.
 
-    Classic recursion on a shrinking prefix: any point outside the
-    current ball must lie on the boundary of the true one. Deterministic
-    index order, recursion depth <= dim+1. A boundary ball is a function
-    of its ordered index tuple alone, so `balls` memoizes it exactly.
-    Every point that sets off a recursion is appended to `hits`.
+    Welzl's move-to-front recursion: any point outside the current ball
+    must lie on the boundary of the true one, so it sets off a recursion
+    on the points before it and then moves to the front of `order`,
+    leaving every later position as it was. Recursion depth <= dim+1.
+    A boundary ball is a function of its ordered index tuple alone, so
+    `balls` memoizes it exactly. Every point that sets off a recursion is
+    appended to `hits`.
     """
     if boundary in balls:
         ball = balls[boundary]
@@ -310,21 +312,25 @@ def _mb(pts, sel, boundary: tuple[int, ...], tol: float, dim: int, balls: dict,
         ball = balls[boundary] = _ball_with_boundary([pts[j] for j in boundary], tol)
     if len(boundary) == dim + 1:
         return ball
-    for i, j in enumerate(sel):
+    for i in range(end):
+        j = order[i]
         if ball is not None:
             c, r2 = ball
             if _dist2(pts[j], c) <= r2 * (1.0 + tol):
                 continue
         hits.append(j)
-        ball = _mb(pts, sel[:i], boundary + (j,), tol, dim, balls, hits)
+        ball = _mb(pts, order, i, boundary + (j,), tol, dim, balls, hits)
+        del order[i]
+        order.insert(0, j)
     return ball
 
 
 def miniball(instance: SebInstance, subset: int) -> Ball:
     """Smallest enclosing ball of the points selected by `subset`.
 
-    Deterministic: points are processed in index order, so equal inputs
-    give bit-identical balls.
+    Deterministic: each evaluation starts from index order and moves each
+    point that sets off a recursion to the front, so the ball is a
+    function of the subset and equal inputs give bit-identical balls.
     """
     if subset == 0:
         raise ValueError("miniball of the empty set is undefined")
@@ -345,8 +351,11 @@ class SebSpace(ViolatorSpace):
     """Violator-space handle over a smallest-enclosing-ball instance.
 
     The declared dimension bound is dim+1 (a ball in R^d is pinned by at
-    most d+1 points). Each violators() call keeps what its recursion
-    found, so extreme_candidates() right after it costs no second one.
+    most d+1 points). Each evaluation starts from index order and moves
+    each point that sets off a recursion to the front, so a ball is a
+    deterministic function of the subset. Each violators() call keeps
+    what its recursion found, so extreme_candidates() right after it
+    costs no second one.
     """
 
     def __init__(self, instance: SebInstance):
@@ -371,7 +380,8 @@ class SebSpace(ViolatorSpace):
         if len(self._balls) > BALL_CACHE_LIMIT:
             self._balls = {}
         inst = self.instance
-        return _mb(self._points, elements(subset), (), inst.tolerance, inst.dim,
+        order = elements(subset)
+        return _mb(self._points, order, len(order), (), inst.tolerance, inst.dim,
                    self._balls, hits)
 
     def violators(self, subset: int) -> int:
@@ -391,10 +401,10 @@ class SebSpace(ViolatorSpace):
     def extreme_candidates(self, subset: int) -> int:
         """The points that set off a recursion, plus members outside the ball.
 
-        Any other member s was met only where the step was a no-op, so the
-        recursion on subset minus s makes the same float operations on the
-        same boundary tuples and returns a bit-identical ball:
-        V(subset minus s) == V(subset), whatever the points.
+        Any other member s was met only where the step was a no-op and was
+        never moved, so the recursion on subset minus s makes the same float
+        operations on the same boundary tuples and returns a bit-identical
+        ball: V(subset minus s) == V(subset), whatever the points.
         """
         if self._last[0] != subset:
             self.violators(subset)

@@ -365,3 +365,27 @@ def test_cli_inner_swiss_stall_writes_the_german_trace(capsys, monkeypatch, tmp_
     assert rc == 1, err
     assert "stalled: inner swiss run stalled: no violator-free basis within 1 rounds" in out
     assert out_path.read_text().splitlines()[1:] == ["0,1,5,5,5,10,1"]
+
+
+FLOAT_FLAG_RUNS = [
+    (command, flag, value)
+    for command in ("solve", "bench")
+    for flag, value in (("--c", "inf"), ("--c", "nan"), ("--beta", "inf"))
+] + [("bench", "--c", "1e308")]
+
+
+@pytest.mark.parametrize("command, flag, value", FLOAT_FLAG_RUNS)
+def test_float_flags_never_end_in_a_traceback(capsys, tmp_path, command, flag, value):
+    # Non-finite values are argparse errors; c = 1e308 overflows c d^2 and
+    # c d, so the sample is the whole ground set and the round bound is refused.
+    argv = [command, f"{FIXTURES}/interval12.json", "--algo", "sa", "--seed", "1", flag, value]
+    if command == "bench":
+        argv += ["--trials", "2", "--out", str(tmp_path / "r.json")]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2), err
+    if rc == 2:
+        assert [line for line in err.splitlines() if "error:" in line], err

@@ -8,6 +8,7 @@ from vspace import harness
 from vspace.algorithms import german_algorithm, swiss_algorithm
 from vspace.harness import (
     BoundParams,
+    LOG2_E,
     SAMPLING_STATS_LIMIT,
     TRACE_COLUMNS,
     composite_experiment,
@@ -82,6 +83,17 @@ def test_bound_params():
     with pytest.raises(ValueError, match="must exceed"):
         _ = BoundParams(d=1, n=8, c=1.0).alpha
     assert BoundParams(d=5, n=10).r_sa == 10  # clamped to n
+
+
+def test_bound_params_refuse_a_c_without_decay():
+    # c d^2 and c d overflow: the sample is everything, and alpha would
+    # round to 1, which has no logarithm to divide by
+    p = BoundParams(d=3, n=12, c=1e308)
+    assert p.r_sa == 12
+    with pytest.raises(ValueError, match="rounds to 1"):
+        p.round_bound()
+    with pytest.raises(ValueError, match="rounds to 1"):
+        _ = BoundParams(d=3, n=12, c=math.nextafter(LOG2_E, 2.0)).alpha
 
 
 def test_bound_params_at_dimension_zero():

@@ -27,7 +27,8 @@ from vspace.instances import (
 )
 from vspace.subsets import full_mask
 
-from conftest import plain_find_basis
+import conftest
+from conftest import index_order_violators, plain_find_basis
 
 SEB8 = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "seb8.json"
 
@@ -240,8 +241,16 @@ def _assert_narrowing_exact(space, subsets):
         assert find_basis(space, g) == plain_find_basis(plain, g), hex(g)
 
 
+def _assert_matches_index_order(space, subsets):
+    # Moving points to the front may change a ball's last bits; the
+    # points outside it must stay the same.
+    for g in subsets:
+        assert space.violators(g) == index_order_violators(space, g), hex(g)
+
+
 def test_extreme_candidates_exact_on_every_subset_of_seb8():
     space = SebSpace(load_seb(SEB8))
+    _assert_matches_index_order(space, range(1 << space.n))
     _assert_narrowing_exact(space, range(1 << space.n))
 
 
@@ -256,15 +265,41 @@ def _clouds(dim: int, seed: int):
     yield np.repeat(u[:1], 10, axis=0)                        # all points identical
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_extreme_candidates_exact_on_degenerate_clouds(dim):
     rng = random.Random(dim)
     for pts in _clouds(dim, 100 + dim):
         space = SebSpace(make_seb(pts))
         n = space.n
-        _assert_narrowing_exact(space, [0, full_mask(n)] + [rng.getrandbits(n) for _ in range(40)])
+        subsets = [0, full_mask(n)] + [rng.getrandbits(n) for _ in range(40)]
+        _assert_matches_index_order(space, subsets)
+        _assert_narrowing_exact(space, subsets)
         sub = restrict(space, rng.getrandbits(n) | 1)
         _assert_narrowing_exact(sub, [0, full_mask(sub.n)] + [rng.getrandbits(sub.n) for _ in range(10)])
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name, recursive calls included, in a call counter."""
+    real, calls = getattr(module, name), [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_move_to_front_visits_fewer_nodes(monkeypatch):
+    # The extreme pass of German solves on 400 planar points asks for V of
+    # about 47 points: moving each point that sets off a recursion to the
+    # front keeps it from setting off the same recursions again.
+    nodes = _count_calls(monkeypatch, instances, "_mb")
+    oracle_nodes = _count_calls(monkeypatch, conftest, "_index_order_mb")
+    space = SebSpace(generate("uniform-square", {"n": 400, "dim": 2}, 3))
+    g = sum(1 << i for i in random.Random(1).sample(range(400), 47))
+    assert space.violators(g) == index_order_violators(space, g)
+    assert 0 < nodes[0] < oracle_nodes[0]
 
 
 def test_extreme_candidates_small_cases():
