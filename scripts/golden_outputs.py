@@ -12,14 +12,26 @@ same bytes exactly when `diff -r` of their OUTDIRs is empty:
     PYTHONPATH=src python3 scripts/golden_outputs.py /tmp/new
     PYTHONPATH=../other/src python3 scripts/golden_outputs.py /tmp/old
     diff -r /tmp/old /tmp/new
+
+The committed manifest holds the SHA-256 of every output, keyed by its
+path under OUTDIR, and the Python and numpy versions it was taken with.
+`--check MANIFEST` compares a fresh, empty OUTDIR against it, names every
+file whose digest moved, and exits 1 if any did; `--write-manifest
+MANIFEST` records a run, for a change that moves outputs on purpose:
+
+    PYTHONPATH=src python3 scripts/golden_outputs.py /tmp/new --check scripts/golden_manifest.json
 """
 
 import argparse
 import contextlib
+import hashlib
 import io
+import json
 import os
 import pathlib
+import platform
 import shutil
+import sys
 
 import numpy as np
 
@@ -76,10 +88,39 @@ def run(name: str, argv: list[str]) -> None:
             fh.write(f"stderr:\n{err.getvalue()}")
 
 
-def main() -> None:
+def digests(outdir: pathlib.Path) -> dict[str, str]:
+    """SHA-256 of every file under outdir, keyed by its POSIX relative path."""
+    return {p.relative_to(outdir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(outdir.rglob("*")) if p.is_file()}
+
+
+def check(manifest: dict, found: dict[str, str], versions: dict[str, str]) -> int:
+    """Print every output whose digest differs from the manifest's; 1 if any."""
+    want = manifest["sha256"]
+    moved = [f"changed: {k}" for k in sorted(want.keys() & found.keys()) if want[k] != found[k]]
+    moved += [f"missing: {k}" for k in sorted(want.keys() - found.keys())]
+    moved += [f"new: {k}" for k in sorted(found.keys() - want.keys())]
+    for line in moved:
+        print(line)
+    for tool, version in versions.items():
+        if manifest[tool] != version:
+            print(f"note: manifest taken with {tool} {manifest[tool]}, this run has {version}")
+    print(f"{len(moved)} of {len(want.keys() | found.keys())} outputs differ from the manifest")
+    return 1 if moved else 0
+
+
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("outdir", type=pathlib.Path)
-    outdir = ap.parse_args().outdir.resolve()
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--check", type=pathlib.Path, metavar="MANIFEST",
+                      help="compare the outputs with a manifest; exit 1 if any moved")
+    mode.add_argument("--write-manifest", type=pathlib.Path, metavar="MANIFEST",
+                      help="record the digests of the outputs in a manifest")
+    args = ap.parse_args()
+    outdir = args.outdir.resolve()
+    manifest_in = json.loads(args.check.read_text()) if args.check else None
+    manifest_out = args.write_manifest.resolve() if args.write_manifest else None
     for sub in ("inputs", "stdout", "traces", "reports", "tables"):
         (outdir / sub).mkdir(parents=True, exist_ok=True)
     for name in FIXTURES:
@@ -104,9 +145,15 @@ def main() -> None:
                 ["bench", src, *flags, "--seed", "12", "--out", f"reports/{algo}-{name}.json"])
     run("tabulate-seb8", ["tabulate", "inputs/seb8.json", "-o", "tables/seb8.json"])
     run("hypercube-roundtrip-3", ["hypercube", "roundtrip", "--n", "3"])
-    count = sum(1 for p in outdir.rglob("*") if p.is_file())
-    print(f"wrote {count} files under {outdir}")
+    found = digests(outdir)
+    print(f"wrote {len(found)} files under {outdir}")
+    versions = {"python": platform.python_version(), "numpy": np.__version__}
+    if manifest_out is not None:
+        manifest = {**versions, "sha256": found}
+        manifest_out.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        print(f"manifest: {manifest_out}")
+    return check(manifest_in, found, versions) if manifest_in is not None else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

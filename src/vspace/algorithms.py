@@ -4,8 +4,8 @@ Three entry points, all deterministic functions of (space, seed):
 
   find_basis        brute-force basis of a subset (core), the terminal solver
   german_algorithm  sample r = ceil(d*sqrt(n/2)) elements, then repeatedly
-                    add the violators of a basis of the working set; needs
-                    at most d+1 basis calls
+                    add the violators of the working set (at most d+1
+                    growth rounds), and find a basis of the final one
   swiss_algorithm   keep an integer weight per element, sample
                     r = ceil(c*d^2) slips per round, double the weights of
                     the violators of the sample's basis until none remain
@@ -27,6 +27,7 @@ from .core import (
     RunTrace,
     ViolatorSpace,
     find_basis,
+    growth_rounds,
     resolve_dimension,
     restrict,
 )
@@ -76,7 +77,7 @@ class WeightMap:
 class SolveResult:
     basis: int
     trace: RunTrace
-    calls: int  # inner-solver calls (german) or sampling rounds (swiss)
+    calls: int  # rounds (german and swiss); 1 for a delegated run
 
 
 def weighted_sample(weights: WeightMap, r: int, rng: random.Random) -> int:
@@ -117,23 +118,17 @@ def swiss_sample_size(d: int, n: int, c: float = 2.0) -> int:
     return min(n, math.ceil(max(r, 1.0)))
 
 
-def _swiss_on_restriction(space: ViolatorSpace, subset: int, seed: int, d: int) -> int:
-    sub = restrict(space, subset, dim_hint=d)
-    res = swiss_algorithm(sub, seed)
-    return expand(res.basis, subset)
-
-
 def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> SolveResult:
-    """Sample-then-grow solver; at most d+1 inner-solver calls.
+    """Sample-then-grow solver: at most d+1 growth rounds, then one basis.
 
-    Each round computes a basis B of the working set (inner="bfa": find_basis;
-    inner="sa": the swiss algorithm on the restriction) and merges V(B) into
-    the working set; V(B) == V(working set) by locality, and a round with
-    violators adds an element of every basis of H, so d+1 rounds always suffice
-    (past them it raises SolverStall). When n <= r the sample would be
-    everything, so the inner solver is invoked directly on the full space
-    (recorded as a delegated trace with zero rounds). A stalled inner swiss
-    run raises SolverStall with the german rounds finished before it.
+    Each round merges V(B) into the working set G, for B a basis of G: with
+    inner="bfa" that is V(G) itself by locality, with inner="sa" B is the
+    swiss algorithm's basis of the restriction to G. A round with violators
+    adds an element of every basis of H, so d+1 rounds always suffice (past
+    them it raises SolverStall, as a stalled inner swiss run does, with the
+    german rounds before it). The result is find_basis of the last working
+    set, or its swiss basis. When n <= r the sample would be everything, so
+    the inner solver runs on the full space (delegated, with zero rounds).
     """
     if inner not in ("bfa", "sa"):
         raise ValueError(f"inner solver must be 'bfa' or 'sa', got {inner!r}")
@@ -153,34 +148,31 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
 
     rng = random.Random(spawn(seed, 0))
     sample = weighted_sample(WeightMap.unit(n), r, rng)
-    g = sample
+    if inner == "bfa":
+        step = space.violators
+    else:
+        bases: list[int] = []   # inner swiss run i has seed spawn(seed, i)
+
+        def step(g: int) -> int:
+            res = swiss_algorithm(restrict(space, g, dim_hint=d), spawn(seed, len(bases) + 1))
+            bases.append(expand(res.basis, g))
+            return space.violators(bases[-1])
+
     recs: list[RoundRecord] = []
-    calls = 0
-    while True:
-        if calls >= d + 1:
-            raise SolverStall(
-                f"basis loop ran past {d + 1} rounds; the handle does not "
-                f"satisfy the violator-space axioms",
-                RunTrace(kind="ga", initial=sample, rounds=tuple(recs), terminated_cleanly=False))
-        calls += 1
-        if inner == "bfa":
-            b = find_basis(space, g)
-        else:
-            try:
-                b = _swiss_on_restriction(space, g, spawn(seed, calls), d)
-            except SolverStall as stall:
-                raise SolverStall(
-                    f"inner swiss run stalled: {stall}",
-                    RunTrace(kind="ga", initial=sample, rounds=tuple(recs),
-                             terminated_cleanly=False)) from stall
-        v = space.violators(b)
-        recs.append(RoundRecord(index=calls, sample=g, basis=b,
-                                violators=v, working=g | v))
-        g |= v
-        if v == 0:
-            trace = RunTrace(kind="ga", initial=sample, rounds=tuple(recs),
-                             terminated_cleanly=True)
-            return SolveResult(b, trace, calls)
+
+    def trace(clean: bool) -> RunTrace:
+        return RunTrace(kind="ga", initial=sample, rounds=tuple(recs), terminated_cleanly=clean)
+
+    try:
+        for rec in itertools.islice(growth_rounds(sample, step), d + 1):
+            recs.append(rec)
+            if rec.violators == 0:
+                basis = find_basis(space, rec.sample) if inner == "bfa" else bases[-1]
+                return SolveResult(basis, trace(True), rec.index)
+    except SolverStall as stall:
+        raise SolverStall(f"inner swiss run stalled: {stall}", trace(False)) from stall
+    raise SolverStall(f"basis loop ran past {d + 1} rounds; the handle does not "
+                      f"satisfy the violator-space axioms", trace(False))
 
 
 def default_safety_cap(d: int, n: int) -> int:

@@ -19,6 +19,7 @@ integer arithmetic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .subsets import (
@@ -140,13 +141,17 @@ class RoundRecord:
     sample: int
     violators: int
     basis: int | None = None
-    working: int | None = None        # working set after the round, where applicable
     slips: int | None = None          # multiset slips requested, where applicable
     weight_total: int | None = None   # total weight after doubling, where applicable
 
     @property
     def controversial(self) -> bool:
         return self.violators != 0
+
+    @property
+    def working(self) -> int:
+        """The working set after a growth round (see growth_rounds)."""
+        return self.sample | self.violators
 
 
 @dataclass(frozen=True, slots=True)
@@ -392,26 +397,28 @@ def resolve_dimension(space: ViolatorSpace) -> int:
     return space.dim_hint
 
 
-def composite_rounds(space: ViolatorSpace, subset: int, depth: int | None = None) -> RunTrace:
-    """Iterate G <- G | V(G) for `depth` rounds starting from `subset`.
+def growth_rounds(g: int, step):
+    """Lazily yield the rounds of G <- G | step(G) from G = g, numbered from
+    1: a round's sample is G before it, its violators step(G)."""
+    for i in itertools.count(1):
+        v = step(g)
+        yield RoundRecord(index=i, sample=g, violators=v)
+        g |= v
 
-    depth defaults to the space dimension. Each round record carries the
-    pre-round set (sample), the violators added, and the post-round set
-    (working). Round i's violator set equals V of the round's basis by
-    locality, so no basis computation is needed here. Any depth at least
-    the true dimension yields the same final set: a round with violators
-    adds an element of every basis of H, and once a basis of H is inside
-    the working set its violator set is empty.
+
+def composite_rounds(space: ViolatorSpace, subset: int, depth: int | None = None) -> RunTrace:
+    """Take `depth` growth rounds G <- G | V(G) starting from `subset`.
+
+    depth defaults to the space dimension. Round i's violator set equals V
+    of the round's basis by locality, so no basis computation is needed
+    here. Any depth at least the true dimension yields the same final set:
+    a round with violators adds an element of every basis of H, and once a
+    basis of H is inside the working set its violator set is empty.
     """
     d = resolve_dimension(space) if depth is None else depth
-    g = subset
-    recs = []
-    for i in range(1, d + 1):
-        v = space.violators(g)
-        recs.append(RoundRecord(index=i, sample=g, violators=v, working=g | v))
-        g |= v
+    recs = tuple(itertools.islice(growth_rounds(subset, space.violators), d))
     clean = not recs or recs[-1].violators == 0
-    return RunTrace(kind="composite", initial=subset, rounds=tuple(recs),
+    return RunTrace(kind="composite", initial=subset, rounds=recs,
                     terminated_cleanly=clean)
 
 

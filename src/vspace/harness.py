@@ -262,7 +262,7 @@ def sa_experiment(space: ViolatorSpace, trials: int, seed: int,
     # Forever traces first, so that sa_forever's refusal of r >= n comes
     # before the trials; their seeds do not depend on the trials.
     prefixes = []
-    weight_sums = [0] * (forever_rounds + 1)
+    weight_sums = [n * forever_traces] + [0] * forever_rounds
     for t in range(forever_traces):
         trace = sa_forever(space, spawn(seed, 10_000_019 + t), forever_rounds, c=c)
         prefixes.append(_controversial_prefix(trace))
@@ -403,7 +403,7 @@ def trace_rows(trial: int, trace) -> list[tuple]:
         else:
             ssize = rec.sample.bit_count()
             csize = ssize
-            wow = rec.working.bit_count() if rec.working is not None else ""
+            wow = rec.working.bit_count()
         rows.append((trial, rec.index, ssize, csize,
                      rec.violators.bit_count(), wow, int(rec.controversial)))
     return rows

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +11,15 @@ from vspace.algorithms import (
     WeightMap,
     default_safety_cap,
     german_algorithm,
+    german_sample_size,
     sa_forever,
     swiss_algorithm,
     weighted_sample,
 )
-from vspace.core import FuncSpace, find_basis, is_basis, resolve_dimension
-from vspace.subsets import full_mask
+from vspace.core import FuncSpace, find_basis, is_basis, resolve_dimension, restrict
+from vspace.instances import SebSpace, generate, make_seb
+from vspace.seeding import spawn
+from vspace.subsets import expand, full_mask
 
 
 def test_weightmap_basics():
@@ -156,6 +160,63 @@ def test_german_detects_lying_handle():
     space = FuncSpace(6, creep, dim_hint=1)
     with pytest.raises(RuntimeError, match="axioms"):
         german_algorithm(space, seed=3)
+
+
+def basis_per_round_german(space, seed, inner="bfa"):
+    """Oracle for german_algorithm: a basis B of every round's working set
+    (find_basis, or the inner swiss run), then V(B). Returns the last basis
+    and the (sample, violators) pair of every round, or None on a stall."""
+    d = resolve_dimension(space)
+    n = space.n
+    r = german_sample_size(d, n)
+    g = weighted_sample(WeightMap.unit(n), r, random.Random(spawn(seed, 0)))
+    rounds = []
+    for calls in range(1, d + 2):
+        if inner == "bfa":
+            b = find_basis(space, g)
+        else:
+            b = expand(swiss_algorithm(restrict(space, g, dim_hint=d), spawn(seed, calls)).basis, g)
+        v = space.violators(b)
+        rounds.append((g, v))
+        if v == 0:
+            return b, rounds
+        g |= v
+    return None
+
+
+def _german_clouds():
+    yield "planar200", generate("uniform-square", {"n": 200, "dim": 2}, 11).points
+    yield "cube120", generate("uniform-square", {"n": 120, "dim": 3}, 12).points
+    for dim in (2, 3):
+        pts = generate("uniform-square", {"n": 30, "dim": dim}, 13 + dim).points
+        yield f"doubled60-d{dim}", np.concatenate([pts, pts])
+    yield "sphere60", generate("sphere-surface", {"n": 60, "dim": 3}, 17).points
+
+
+def _assert_german_matches_oracle(space, seeds, inner):
+    for seed in seeds:
+        res = german_algorithm(space, seed, inner=inner)
+        if res.trace.delegated:
+            continue
+        basis, rounds = basis_per_round_german(space, seed, inner)
+        assert [(rec.sample, rec.violators) for rec in res.trace.rounds] == rounds
+        assert [rec.index for rec in res.trace.rounds] == list(range(1, len(rounds) + 1))
+        assert res.basis == basis and res.calls == len(rounds)
+        for rec in res.trace.rounds:
+            assert space.violators(rec.sample) == rec.violators
+
+
+@pytest.mark.parametrize("inner", ["bfa", "sa"])
+@pytest.mark.parametrize("key", GA_KEYS)
+def test_german_matches_basis_per_round_oracle_on_roster(roster, key, inner):
+    _assert_german_matches_oracle(roster[key], range(20), inner)
+
+
+@pytest.mark.parametrize("points", [pytest.param(p, id=name) for name, p in _german_clouds()])
+def test_german_matches_basis_per_round_oracle_on_clouds(points):
+    space = SebSpace(make_seb(points))
+    _assert_german_matches_oracle(space, range(10), "bfa")
+    _assert_german_matches_oracle(space, range(2), "sa")
 
 
 SA_REAL_KEYS = ("f1", "interval12")

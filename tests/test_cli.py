@@ -311,8 +311,10 @@ def test_cli_total_on_random_tables(payload):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "space.json"
         path.write_text(json.dumps(payload))
-        out = str(pathlib.Path(tmp) / "report.json")
-        for command, *flags in FUZZ_RUNS:
+        for i, (command, *flags) in enumerate(FUZZ_RUNS):
+            # A fresh file per run: truncating and rewriting one file can
+            # force a flush to disk on every write.
+            out = str(pathlib.Path(tmp) / f"out-{i}.json")
             argv = [command, str(path), *flags]
             if command == "bench":
                 argv += ["--out", out]

@@ -112,6 +112,8 @@ def test_sa_experiment_dimension_zero(roster):
     assert rep["summary"]["round_bound"] == 1.0
     assert rep["config"]["alpha"] == 0.0
     assert rep["per_trial"]["rounds"] == [1] * 5
+    # At d = 0 every checkpoint is round 0, where the total weight is n.
+    assert [(row["ell"], row["measured"]) for row in rep["weight_growth"]] == [(0, 6.0)]
     assert rep["pass"]
 
 
