@@ -139,8 +139,7 @@ def main() -> int:
                 ["solve", src, *flags, "--seed", "7", "--trace", f"traces/{algo}-{name}.csv"])
     for name in FIXTURES + ("uniform300", "doubled80-d3", "sphere60"):
         src = f"inputs/{name}.json"
-        # The forever traces on the cospherical cloud alone would take minutes.
-        for algo, flags in BENCHES[:3] if name == "sphere60" else BENCHES:
+        for algo, flags in BENCHES:
             run(f"bench-{algo}-{name}",
                 ["bench", src, *flags, "--seed", "12", "--out", f"reports/{algo}-{name}.json"])
     run("tabulate-seb8", ["tabulate", "inputs/seb8.json", "-o", "tables/seb8.json"])

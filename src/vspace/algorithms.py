@@ -8,7 +8,8 @@ Three entry points, all deterministic functions of (space, seed):
                     growth rounds), and find a basis of the final one
   swiss_algorithm   keep an integer weight per element, sample
                     r = ceil(c*d^2) slips per round, double the weights of
-                    the violators of the sample's basis until none remain
+                    the violators of the sample until none remain, and
+                    find a basis of the last sample
 
 Weights are exact Python ints on purpose: totals pass 2^64 after enough
 doubling rounds and sampling must stay exact.
@@ -56,7 +57,10 @@ class WeightMap:
 
     @classmethod
     def unit(cls, n: int) -> "WeightMap":
-        return cls([1] * n)
+        w = cls.__new__(cls)
+        w.mu = [1] * n
+        w.total = len(w.mu)
+        return w
 
     def double(self, mask: int) -> None:
         added = 0
@@ -68,9 +72,6 @@ class WeightMap:
             self.mu[i] *= 2
             m ^= low
         self.total += added
-
-    def snapshot(self) -> tuple[int, ...]:
-        return tuple(self.mu)
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,27 +180,28 @@ def default_safety_cap(d: int, n: int) -> int:
     return math.ceil(64 * (d + 1) * (math.log2(max(n, 2)) + 1))
 
 
-def _doubling_rounds(space: ViolatorSpace, seed: int, r: int, weights: WeightMap,
-                     rounds: int):
-    """Lazily yield up to `rounds` rounds of: weighted sample of r slips,
-    its basis B, the global violators of B, double their weights in place."""
+def _doubling_rounds(space: ViolatorSpace, seed: int, r: int, rounds: int):
+    """Lazily yield up to `rounds` rounds of: weighted sample R of r slips
+    from unit weights, its violators V(R), double their weights. V(R) is V
+    of every basis of R by locality, so a round searches for no basis."""
+    weights = WeightMap.unit(space.n)
     rng = random.Random(spawn(seed, 0))
     for i in range(1, rounds + 1):
         sample = weighted_sample(weights, r, rng)
-        b = find_basis(space, sample)
-        v = space.violators(b)
+        v = space.violators(sample)
         weights.double(v)
-        yield RoundRecord(index=i, sample=sample, basis=b, violators=v,
+        yield RoundRecord(index=i, sample=sample, violators=v,
                           slips=r, weight_total=weights.total)
 
 
 def swiss_algorithm(space: ViolatorSpace, seed: int, c: float = 2.0) -> SolveResult:
     """Weight-doubling solver.
 
-    Rounds draw a weighted sample R, compute its basis B = find_basis(R),
-    and double the weight of every global violator of B; a round with no
-    violators ends the run. When n <= r the solver degenerates to
-    find_basis on the full ground set (delegated trace, zero rounds).
+    Rounds draw a weighted sample R and double the weight of every element
+    of V(R); a round with no violators ends the run, and the result is
+    find_basis of its sample, the one basis search of the run. When n <= r
+    the solver degenerates to find_basis on the full ground set (delegated
+    trace, zero rounds).
     Exceeding the safety cap, default_safety_cap(d, n) rounds, raises
     SolverStall with the trace attached.
     """
@@ -213,18 +215,17 @@ def swiss_algorithm(space: ViolatorSpace, seed: int, c: float = 2.0) -> SolveRes
         return SolveResult(basis, trace, 1)
 
     cap = default_safety_cap(d, n)
-    weights = WeightMap.unit(n)
     recs: list[RoundRecord] = []
-    for rec in _doubling_rounds(space, seed, r, weights, cap):
+    for rec in _doubling_rounds(space, seed, r, cap):
         recs.append(rec)
         if rec.violators == 0:
             break
     clean = bool(recs) and recs[-1].violators == 0
     trace = RunTrace(kind="sa", initial=None, rounds=tuple(recs),
-                     terminated_cleanly=clean, final_weights=weights.snapshot())
+                     terminated_cleanly=clean, ground_size=n)
     if not clean:
         raise SolverStall(f"no violator-free basis within {cap} rounds", trace)
-    return SolveResult(recs[-1].basis, trace, len(recs))
+    return SolveResult(find_basis(space, recs[-1].sample), trace, len(recs))
 
 
 def sa_forever(space: ViolatorSpace, seed: int, max_rounds: int,
@@ -243,8 +244,7 @@ def sa_forever(space: ViolatorSpace, seed: int, max_rounds: int,
     r = swiss_sample_size(d, n, c)
     if r >= n:
         raise ValueError(f"sample size r={r} must be below n={n} for round estimation")
-    weights = WeightMap.unit(n)
-    recs = tuple(_doubling_rounds(space, seed, r, weights, max_rounds))
+    recs = tuple(_doubling_rounds(space, seed, r, max_rounds))
     clean = not recs or recs[-1].violators == 0
     return RunTrace(kind="sa-forever", initial=None, rounds=recs,
-                    terminated_cleanly=clean, final_weights=weights.snapshot())
+                    terminated_cleanly=clean, ground_size=n)

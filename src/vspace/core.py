@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .subsets import (
     expand,
     compress,
+    elements,
     full_mask,
     interval_hull,
     iter_by_size_then_value,
@@ -140,7 +141,6 @@ class RoundRecord:
     index: int
     sample: int
     violators: int
-    basis: int | None = None
     slips: int | None = None          # multiset slips requested, where applicable
     weight_total: int | None = None   # total weight after doubling, where applicable
 
@@ -161,7 +161,19 @@ class RunTrace:
     rounds: tuple[RoundRecord, ...]
     terminated_cleanly: bool
     delegated: bool = False
-    final_weights: tuple[int, ...] | None = None
+    ground_size: int | None = None     # n of a weight-doubling run, else None
+
+    @property
+    def final_weights(self) -> tuple[int, ...] | None:
+        """Weights after a weight-doubling run: element e ends at 2^k, k the
+        number of rounds whose violators hold e. None for other runs."""
+        if self.ground_size is None:
+            return None
+        doublings = [0] * self.ground_size
+        for rec in self.rounds:
+            for e in elements(rec.violators):
+                doublings[e] += 1
+        return tuple(1 << k for k in doublings)
 
 
 def check_axioms(space: ViolatorSpace) -> AxiomReport:

@@ -14,6 +14,7 @@ from vspace.algorithms import (
     german_sample_size,
     sa_forever,
     swiss_algorithm,
+    swiss_sample_size,
     weighted_sample,
 )
 from vspace.core import FuncSpace, find_basis, is_basis, resolve_dimension, restrict
@@ -24,13 +25,14 @@ from vspace.subsets import expand, full_mask
 
 def test_weightmap_basics():
     w = WeightMap.unit(4)
-    assert w.total == 4 and w.snapshot() == (1, 1, 1, 1)
+    assert w.total == 4 and w.mu == [1, 1, 1, 1]
     w.double(0b1010)
-    assert w.snapshot() == (1, 2, 1, 2)
+    assert w.mu == [1, 2, 1, 2]
     assert w.total == 6
     w.double(0b0010)
-    assert w.snapshot() == (1, 4, 1, 2)
+    assert w.mu == [1, 4, 1, 2]
     assert w.total == 8
+    assert WeightMap.unit(0).total == 0
 
 
 def test_weightmap_rejects_bad_weights():
@@ -235,8 +237,7 @@ def test_swiss_solves_and_doubles(roster, key):
         mu = [1] * space.n
         for rec in tr.rounds:
             assert rec.sample & ~space.ground == 0
-            assert rec.basis & rec.sample == rec.basis
-            assert space.violators(rec.basis) == rec.violators
+            assert space.violators(rec.sample) == rec.violators
             m = rec.violators
             while m:
                 low = m & -m
@@ -245,6 +246,57 @@ def test_swiss_solves_and_doubles(roster, key):
             assert rec.weight_total == sum(mu)
         assert tr.final_weights == tuple(mu)
         assert not tr.rounds[-1].controversial
+        assert res.basis & tr.rounds[-1].sample == res.basis
+        assert is_basis(space, res.basis)
+
+
+def basis_per_round_swiss(space, seed, rounds, stop=True):
+    """Oracle for the doubling rounds: find_basis of every round's sample,
+    then V of that basis. Returns the (sample, violators, weight_total)
+    triple of every round, the final weights and the last round's basis;
+    with stop, the rounds end at the first one without violators."""
+    n = space.n
+    r = swiss_sample_size(resolve_dimension(space), n)
+    weights = WeightMap.unit(n)
+    rng = random.Random(spawn(seed, 0))
+    out = []
+    for _ in range(rounds):
+        sample = weighted_sample(weights, r, rng)
+        b = find_basis(space, sample)
+        v = space.violators(b)
+        weights.double(v)
+        out.append((sample, v, weights.total))
+        if stop and v == 0:
+            break
+    return out, tuple(weights.mu), b
+
+
+def _assert_swiss_matches_oracle(space, seeds, forever_seeds, forever_rounds=8):
+    cap = default_safety_cap(resolve_dimension(space), space.n)
+    for seed in seeds:
+        res = swiss_algorithm(space, seed)
+        assert not res.trace.delegated
+        rounds, weights, basis = basis_per_round_swiss(space, seed, cap)
+        assert [(rec.sample, rec.violators, rec.weight_total)
+                for rec in res.trace.rounds] == rounds
+        assert res.trace.final_weights == weights
+        assert res.basis == basis and res.calls == len(rounds)
+    for seed in forever_seeds:
+        trace = sa_forever(space, seed, forever_rounds)
+        rounds, weights, _ = basis_per_round_swiss(space, seed, forever_rounds, stop=False)
+        assert [(rec.sample, rec.violators, rec.weight_total) for rec in trace.rounds] == rounds
+        assert trace.final_weights == weights
+
+
+@pytest.mark.parametrize("key", SA_REAL_KEYS)
+def test_swiss_matches_basis_per_round_oracle_on_roster(roster, key):
+    _assert_swiss_matches_oracle(roster[key], range(20), range(20), forever_rounds=25)
+
+
+@pytest.mark.parametrize("points", [pytest.param(p, id=name) for name, p in _german_clouds()])
+def test_swiss_matches_basis_per_round_oracle_on_clouds(points):
+    space = SebSpace(make_seb(points))
+    _assert_swiss_matches_oracle(space, range(4), range(2))
 
 
 def test_swiss_sample_sizes(roster):
