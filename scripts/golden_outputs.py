@@ -3,9 +3,11 @@
 
 The inputs are the shipped fixtures plus seeded point clouds: 300 planar
 points, 340 points of which 40 are duplicates, 30- and 40-point clouds
-with every point doubled in 2 and 3 dimensions, and 60 points on the
-unit sphere. Each command runs through `vspace.cli.main` inside OUTDIR,
-with relative paths, and its exit code, stdout and stderr go to
+with every point doubled in 2 and 3 dimensions, 60 points on the unit
+sphere, and a 12-point planar cloud with duplicated and cocircular
+points that is only tabulated. Each command runs through
+`vspace.cli.main` inside OUTDIR, with relative paths, and its exit
+code, stdout and stderr go to
 `stdout/<name>.txt` next to the files it writes. Two checkouts give the
 same bytes exactly when `diff -r` of their OUTDIRs is empty:
 
@@ -74,6 +76,16 @@ def write_clouds(indir: pathlib.Path) -> list[str]:
     return list(clouds)
 
 
+def write_degenerate12(indir: pathlib.Path) -> str:
+    """Store a 12-point planar cloud to tabulate: six points on one circle,
+    four seeded points, and copies of one of each; returns its name."""
+    ring = 0.5 + 0.25 * np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [0.6, 0.8], [-0.8, -0.6]])
+    inner = generate("uniform-square", {"n": 4, "dim": 2}, SEED).points
+    save_seb(make_seb(np.concatenate([ring, inner, ring[:1], inner[:1]])),
+             indir / "degenerate12.json")
+    return "degenerate12"
+
+
 def run(name: str, argv: list[str]) -> None:
     """One CLI call; its exit code and both streams go to stdout/<name>.txt."""
     out, err = io.StringIO(), io.StringIO()
@@ -126,6 +138,7 @@ def main() -> int:
     for name in FIXTURES:
         shutil.copyfile(ROOT / "fixtures" / f"{name}.json", outdir / "inputs" / f"{name}.json")
     clouds = write_clouds(outdir / "inputs")
+    degenerate = write_degenerate12(outdir / "inputs")
     os.chdir(outdir)
 
     for name in FIXTURES:
@@ -142,7 +155,8 @@ def main() -> int:
         for algo, flags in BENCHES:
             run(f"bench-{algo}-{name}",
                 ["bench", src, *flags, "--seed", "12", "--out", f"reports/{algo}-{name}.json"])
-    run("tabulate-seb8", ["tabulate", "inputs/seb8.json", "-o", "tables/seb8.json"])
+    for name in ("seb8", degenerate):
+        run(f"tabulate-{name}", ["tabulate", f"inputs/{name}.json", "-o", f"tables/{name}.json"])
     run("hypercube-roundtrip-3", ["hypercube", "roundtrip", "--n", "3"])
     found = digests(outdir)
     print(f"wrote {len(found)} files under {outdir}")

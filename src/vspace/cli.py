@@ -20,6 +20,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .algorithms import SolverStall, german_algorithm, swiss_algorithm
 from .core import check_axioms, combinatorial_dimension, find_basis, is_nondegenerate
 from .harness import (
@@ -288,7 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # A squared distance that overflows to inf still puts its point
+        # outside the ball; numpy's warning about it would only add lines
+        # to the one-line message a command ends with.
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except (CliError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

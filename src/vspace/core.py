@@ -59,6 +59,10 @@ class ViolatorSpace:
     changes V(subset), and maybe more. It must hold them exactly, by the
     handle's own computation of V and not by the axioms, since
     extreme_elements probes nothing else.
+
+    violator_table() defaults to V of every subset, in mask order. A
+    handle may build the list faster, but it must equal that loop entry
+    for entry, by the handle's own computation and not by the axioms.
     """
 
     n: int
@@ -69,6 +73,9 @@ class ViolatorSpace:
 
     def extreme_candidates(self, subset: int) -> int:
         return subset
+
+    def violator_table(self) -> list[int]:
+        return [self.violators(g) for g in range(1 << self.n)]
 
     @property
     def ground(self) -> int:

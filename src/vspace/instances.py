@@ -325,6 +325,14 @@ def _mb(pts, order: list[int], end: int, boundary: tuple[int, ...], tol: float,
     return ball
 
 
+def _finite(ball):
+    """`ball`, the result of a top-level recursion; None only on float overflow."""
+    if ball is None:
+        raise ValueError("points too far apart: a smallest enclosing ball overflows "
+                         "the float range")
+    return ball
+
+
 def miniball(instance: SebInstance, subset: int) -> Ball:
     """Smallest enclosing ball of the points selected by `subset`.
 
@@ -381,8 +389,16 @@ class SebSpace(ViolatorSpace):
             self._balls = {}
         inst = self.instance
         order = elements(subset)
-        return _mb(self._points, order, len(order), (), inst.tolerance, inst.dim,
-                   self._balls, hits)
+        return _finite(_mb(self._points, order, len(order), (), inst.tolerance, inst.dim,
+                           self._balls, hits))
+
+    def _outside(self, ball) -> int:
+        """Mask of every point outside `ball`, members of its subset included."""
+        center, r2 = ball
+        inst = self.instance
+        d2 = ((inst.points - np.asarray(center)) ** 2).sum(axis=1)
+        bits = np.packbits(d2 > r2 * (1.0 + inst.tolerance), bitorder="little")
+        return int.from_bytes(bits.tobytes(), "little")
 
     def violators(self, subset: int) -> int:
         """Every point outside the smallest ball enclosing `subset`, members
@@ -390,13 +406,43 @@ class SebSpace(ViolatorSpace):
         """
         outside, hits = full_mask(self.n), []
         if subset:
-            center, r2 = self._ball(subset, hits)
-            inst = self.instance
-            d2 = ((inst.points - np.asarray(center)) ** 2).sum(axis=1)
-            bits = np.packbits(d2 > r2 * (1.0 + inst.tolerance), bitorder="little")
-            outside = int.from_bytes(bits.tobytes(), "little")
+            outside = self._outside(self._ball(subset, hits))
         self._last = (subset, outside, hits)
         return outside & ~subset
+
+    def violator_table(self) -> list[int]:
+        """V of every subset G, each grown from G minus its largest index k.
+
+        Evaluating G scans its members in index order, so it reaches k last.
+        Move-to-front reorders only positions before the current one, and a
+        nested recursion scans only those, so at k the order list and the
+        ball are the ones that evaluating G minus k ends with. One more scan
+        step finishes G: the same float operations on the same boundary
+        tuples as violators(G), so the same entry, whatever the points. A
+        depth-first walk keeps that state for each subset it extends; the
+        outside mask is computed once per distinct ball.
+        """
+        inst = self.instance
+        pts, tol, dim = self._points, inst.tolerance, inst.dim
+        table = [full_mask(self.n)] * (1 << self.n)   # the walk fills all but V(empty set)
+        outside = {}
+        stack = [(0, [], None)]   # (subset, order list, ball) after its scan
+        while stack:
+            subset, order, ball = stack.pop()
+            for k in range(subset.bit_length(), self.n):
+                grown, grown_order, grown_ball = subset | 1 << k, order + [k], ball
+                if ball is None or not _dist2(pts[k], ball[0]) <= ball[1] * (1.0 + tol):
+                    if len(self._balls) > BALL_CACHE_LIMIT:
+                        self._balls = {}
+                    grown_ball = _finite(_mb(pts, grown_order, len(order), (k,), tol, dim,
+                                             self._balls, []))
+                    del grown_order[len(order)]
+                    grown_order.insert(0, k)
+                if grown_ball not in outside:
+                    outside[grown_ball] = self._outside(grown_ball)
+                table[grown] = outside[grown_ball] & ~grown
+                stack.append((grown, grown_order, grown_ball))
+        return table
 
     def extreme_candidates(self, subset: int) -> int:
         """The points that set off a recursion, plus members outside the ball.
@@ -434,8 +480,7 @@ def tabulate(space: ViolatorSpace, certify: bool = True) -> ExplicitSpace:
     """Materialize a space as an explicit table (and certify it by default)."""
     if space.n > TABULATE_LIMIT:
         raise ValueError(f"tabulate refused: n={space.n} exceeds {TABULATE_LIMIT}")
-    table = [space.violators(g) for g in range(1 << space.n)]
-    out = ExplicitSpace(space.n, table)
+    out = ExplicitSpace(space.n, space.violator_table())
     out.dim_hint = space.dim_hint
     if certify:
         out.certify()

@@ -301,11 +301,21 @@ FUZZ_RUNS = (
 )
 
 
+# Finite coordinates whose squared distances overflow the float range.
+OVERFLOWING = tuple(
+    {"format": "seb-v1", "dim": 2, "points": points}
+    for points in ([[1e155, 0], [-1e155, 0], [0, 1e155], [3e154, 2e154]],
+                   [[1e308, 0], [-1e308, 0], [0, 1e308], [-1e308, -1e308]])
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(space_files())
 @example({"format": "violator-table-v1", "n": 1, "table": [0, 0]})
 @example({"format": "violator-table-v1", "n": 0, "table": [0]})
 @example({"format": "seb-v1", "dim": 2, "points": []})
+@example(OVERFLOWING[0])
+@example(OVERFLOWING[1])
 def test_cli_total_on_random_tables(payload):
     # Every command ends with an exit code, never an exception.
     with tempfile.TemporaryDirectory() as tmp:
@@ -391,3 +401,24 @@ def test_float_flags_never_end_in_a_traceback(capsys, tmp_path, command, flag, v
     assert rc in (0, 1, 2), err
     if rc == 2:
         assert [line for line in err.splitlines() if "error:" in line], err
+
+
+@pytest.mark.parametrize("payload", OVERFLOWING, ids=("1e155", "1e308"))
+@pytest.mark.parametrize("argv", [
+    ("check", "--dimension"),
+    ("tabulate", "-o"),
+    ("solve", "--algo", "sa", "--seed", "1"),
+    ("solve", "--algo", "ga", "--seed", "1"),
+    ("composite",),
+], ids=("check", "tabulate", "solve-sa", "solve-ga", "composite"))
+def test_overflowing_points_are_one_error_line(capsys, tmp_path, payload, argv):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(payload))
+    command, *flags = argv
+    if command == "tabulate":
+        flags.append(str(tmp_path / "out.json"))
+    rc, out, err = run(capsys, command, str(path), *flags)
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: points too far apart: a smallest enclosing ball overflows "
+                   "the float range\n")

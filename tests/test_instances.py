@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vspace import instances
-from vspace.core import FuncSpace, check_axioms, extreme_elements, find_basis, restrict
+from vspace.core import (
+    FuncSpace,
+    ViolatorSpace,
+    check_axioms,
+    extreme_elements,
+    find_basis,
+    restrict,
+)
 from vspace.instances import (
     DEFAULT_TOLERANCE,
     ExplicitSpace,
@@ -392,6 +399,71 @@ def test_find_basis_asks_nothing_locality_decided(dim):
                 e = m & -m
                 m ^= e
                 assert b ^ e not in v or v[b ^ e] & e, (hex(g), hex(b), e)
+
+
+def _loop_table(space):
+    # The table as ViolatorSpace's default builds it, on a fresh handle.
+    fresh = SebSpace(space.instance)
+    return [fresh.violators(g) for g in range(1 << fresh.n)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_violator_table_equals_the_loop_on_degenerate_clouds(dim):
+    for pts in _clouds(dim, 100 + dim):
+        space = SebSpace(make_seb(pts[:12]))
+        assert space.violator_table() == _loop_table(space)
+
+
+@pytest.mark.parametrize("points", [load_seb(SEB8).points, np.zeros((0, 2)), [(0.3, 0.7)]],
+                         ids=["seb8", "n0", "n1"])
+def test_violator_table_equals_the_loop_on_small_sets(points):
+    space = SebSpace(make_seb(points, dim=2))
+    assert space.violator_table() == _loop_table(space)
+
+
+def test_violator_table_survives_memo_resets(monkeypatch):
+    monkeypatch.setattr(instances, "BALL_CACHE_LIMIT", 4)
+    pts = np.random.default_rng(11).random((9, 3))
+    space = SebSpace(make_seb(np.concatenate([pts, pts[:3]])))
+    memo = space._balls
+    assert space.violator_table() == _loop_table(space)
+    assert space._balls is not memo
+
+
+def test_violator_table_makes_fewer_recursions_than_the_loop(monkeypatch):
+    nodes = _count_calls(monkeypatch, instances, "_mb")
+    space = SebSpace(generate("uniform-square", {"n": 12, "dim": 2}, 4))
+    space.violator_table()
+    walk = nodes[0]
+    nodes[0] = 0
+    ViolatorSpace.violator_table(SebSpace(space.instance))
+    assert 0 < walk < nodes[0]
+
+
+def test_tabulate_leaves_the_handle_as_a_fresh_one():
+    inst = make_seb(np.random.default_rng(12).random((10, 2)))
+    space = SebSpace(inst)
+    space.violators(0b1011)
+    tabulate(space)
+    rng = random.Random(12)
+    for g in [0b1011] + [rng.getrandbits(10) for _ in range(40)]:
+        # candidates first: they must not come from a stale last evaluation
+        assert space.extreme_candidates(g) == SebSpace(inst).extreme_candidates(g), hex(g)
+        assert space.violators(g) == SebSpace(inst).violators(g), hex(g)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("points", [
+    [[1e155, 0], [-1e155, 0], [0, 1e155], [3e154, 2e154]],
+    [[1e308, 0], [-1e308, 0], [0, 1e308], [-1e308, -1e308]],
+])
+def test_overflowing_points_raise_one_value_error(points):
+    space = SebSpace(make_seb(points))
+    with pytest.raises(ValueError, match="overflows the float range") as walk:
+        space.violator_table()
+    with pytest.raises(ValueError) as loop:
+        ViolatorSpace.violator_table(space)
+    assert str(walk.value) == str(loop.value)
 
 
 def test_sebspace_hint_and_tabulate():
