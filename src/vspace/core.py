@@ -275,13 +275,17 @@ def extreme_elements(space: ViolatorSpace, subset: int) -> int:
     evaluation.
     """
     vr = space.violators(subset)
+    return _extreme_among(space, subset, vr, subset & space.extreme_candidates(subset))
+
+
+def _extreme_among(space: ViolatorSpace, subset: int, vr: int, probe: int) -> int:
+    """The elements s of `probe` with V(subset minus s) != vr, one call each."""
     out = 0
-    m = subset & space.extreme_candidates(subset)
-    while m:
-        low = m & -m
+    while probe:
+        low = probe & -probe
         if space.violators(subset ^ low) != vr:
             out |= low
-        m ^= low
+        probe ^= low
     return out
 
 
@@ -301,6 +305,19 @@ def find_basis(space: ViolatorSpace, subset: int) -> int:
     X | extra with the extras walked in (popcount, numeric) order appear
     in exactly the global (popcount, numeric) order, since OR with the
     disjoint X adds a constant to both keys.
+
+    The same argument finds X cheaply. A probe V(subset\\{s}) is an
+    oracle call on a set nearly as large as the subset, and every valid
+    set holds X, so only the members of one need a probe. When the
+    handle's extreme_candidates narrow the subset to P != subset and P
+    itself is valid, the search first shrinks P to a valid S from which
+    no one element can be dropped (each member of P is left out in turn
+    if the rest stays valid), with oracle calls on subsets of P only, and
+    then probes the subset at the members of S alone:
+    X = {s in S : V(subset\\{s}) != V(subset)}. By locality that S is a
+    basis, so it has no more members than the combinatorial dimension,
+    where the full pass probes all of P. Handles that do not narrow get
+    the full pass of extreme_elements, call for call.
 
     Locality also decides some candidates without an oracle call. Every
     walked candidate is invalid (the walk did not stop there), and its V
@@ -322,7 +339,11 @@ def find_basis(space: ViolatorSpace, subset: int) -> int:
         raise ValueError(
             f"refusing to enumerate bases of a {size}-element set without a dimension hint")
 
-    x = extreme_elements(space, g)
+    vg = space.violators(g)
+    p = g & space.extreme_candidates(g)
+    if p != g and space.violators(p) & g == 0:
+        p = _valid_core(space, p, g)
+    x = _extreme_among(space, g, vg, p)
     evals = size + 1
     walked: dict[int, int] = {}   # V(X | extra) of every candidate walked so far
     for extra in iter_by_size_then_value(g & ~x):
@@ -337,6 +358,20 @@ def find_basis(space: ViolatorSpace, subset: int) -> int:
                 return b
         walked[extra] = v
     raise ValueError(f"no basis below {g:#x}: consistency fails there")
+
+
+def _valid_core(space: ViolatorSpace, p: int, g: int) -> int:
+    """A subset S of the valid set p with V(S) & g == 0, from which no
+    single element can be dropped: each member left out in turn if the
+    rest stays valid. One oracle call per element of p, each on a subset
+    of p."""
+    s, m = p, p
+    while m:
+        low = m & -m
+        m ^= low
+        if space.violators(s ^ low) & g == 0:
+            s ^= low
+    return s
 
 
 def _decided_by_locality(walked: dict[int, int], extra: int) -> int | None:

@@ -144,6 +144,62 @@ def test_find_basis_no_candidate():
         find_basis(bad, 1)
 
 
+class _Narrowing(ViolatorSpace):
+    """A table whose extreme_candidates are the exact extreme elements plus
+    a seeded random extra, so basis search takes its narrowed path."""
+
+    def __init__(self, table, rng):
+        self.n, self.dim_hint = table.n, table.dim_hint
+        self._table, self._rng = table, rng
+
+    def violators(self, subset):
+        return self._table.violators(subset)
+
+    def extreme_candidates(self, subset):
+        return extreme_elements(self._table, subset) | self._rng.getrandbits(self.n)
+
+
+@pytest.mark.parametrize("key", ["f1", "f2", "empty6", "singleton5", "hpart4", "seb8"])
+def test_find_basis_narrowed_matches_plain(roster, key):
+    # Valid sets inside the candidates hold every extreme element, so
+    # probing only a small one gives the mask of the unpruned scan.
+    space = roster[key]
+    handle = _Narrowing(space, random.Random(key))
+    for g in range(1 << space.n):
+        assert find_basis(handle, g) == plain_find_basis(space, g), (key, g)
+
+
+class _Recording(ViolatorSpace):
+    """A table handle, without extreme_candidates, that records its asks."""
+
+    def __init__(self, table):
+        self.n, self.dim_hint, self._table = table.n, table.dim_hint, table
+        self.asked: list[int] = []
+
+    def violators(self, subset):
+        self.asked.append(subset)
+        return self._table.violators(subset)
+
+
+@pytest.mark.parametrize("key", ["f1", "f2", "hpart4", "seb8"])
+def test_find_basis_calls_on_tables_unchanged(roster, key):
+    # A handle that does not narrow gets the full extreme pass, V(G) and
+    # then V(G minus s) for each s, and then the enumeration: candidates
+    # holding X, from X itself up, in (size, value) order.
+    space = roster[key]
+    for g in range(1 << space.n):
+        full_pass = _Recording(space)
+        x = extreme_elements(full_pass, g)
+        handle = _Recording(space)
+        find_basis(handle, g)
+        k = len(full_pass.asked)
+        assert handle.asked[:k] == full_pass.asked
+        walk = handle.asked[k:]
+        assert walk[0] == x and all(b & x == x for b in walk)
+        keys = [(b.bit_count(), b) for b in walk]
+        assert keys == sorted(set(keys))
+
+
 def test_is_basis_rejects_oversized(roster):
     f1 = roster["f1"]
     assert not is_basis(f1, 0b011)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vspace import instances
+from vspace import core, instances
 from vspace.core import (
     FuncSpace,
     ViolatorSpace,
@@ -352,10 +352,8 @@ class _RecordingHandle:
         return getattr(self._inner, attr)
 
 
-def test_extreme_pass_evaluates_only_through_the_handle(monkeypatch):
-    # Every SEB evaluation of the pass must be a violators() call the proxy
-    # sees: the candidates come from the evaluation of V(G) itself, and no
-    # leave-one-out probe goes around the handle.
+def _record_evaluations(monkeypatch) -> list[int]:
+    """Every subset SebSpace evaluates from now on, in order."""
     evaluated = []
     real = SebSpace._ball
 
@@ -364,6 +362,14 @@ def test_extreme_pass_evaluates_only_through_the_handle(monkeypatch):
         return real(self, subset, hits)
 
     monkeypatch.setattr(SebSpace, "_ball", counting)
+    return evaluated
+
+
+def test_extreme_pass_evaluates_only_through_the_handle(monkeypatch):
+    # Every SEB evaluation of the pass must be a violators() call the proxy
+    # sees: the candidates come from the evaluation of V(G) itself, and no
+    # leave-one-out probe goes around the handle.
+    evaluated = _record_evaluations(monkeypatch)
     space = SebSpace(generate("uniform-square", {"n": 60, "dim": 2}, 5))
     g = full_mask(60) & ~0b1001
     for handle in (space, restrict(space, full_mask(60))):
@@ -376,6 +382,17 @@ def test_extreme_pass_evaluates_only_through_the_handle(monkeypatch):
         assert x == extreme_elements(FuncSpace(60, space.violators), g)
 
 
+def _enumeration(asked: list[int], x: int) -> list[int]:
+    """The candidates basis search asked for, given all its asks and X.
+
+    The enumeration asks for X itself first and for no mask twice, so it
+    starts at the last ask of X; every candidate holds X.
+    """
+    walk = asked[len(asked) - 1 - asked[::-1].index(x):]
+    assert all(b & x == x for b in walk)
+    return walk
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_find_basis_asks_nothing_locality_decided(dim):
     # Every point doubled: no copy is extreme, so the enumeration walks
@@ -386,12 +403,11 @@ def test_find_basis_asks_nothing_locality_decided(dim):
     n = space.n
     rng = random.Random(dim)
     for g in [full_mask(n)] + [rng.getrandbits(n) for _ in range(20)]:
+        x = extreme_elements(space, g)
         proxy = _RecordingHandle(space)
-        x = extreme_elements(proxy, g)
-        pass_asks = len(proxy.asked)
         basis = find_basis(proxy, g)
         assert basis == plain_find_basis(space, g), hex(g)
-        candidates = proxy.asked[2 * pass_asks:]    # after find_basis's own pass
+        candidates = _enumeration(proxy.asked, x)
         v = {b: space.violators(b) for b in candidates}
         for b in candidates:
             m = b & ~x
@@ -399,6 +415,64 @@ def test_find_basis_asks_nothing_locality_decided(dim):
                 e = m & -m
                 m ^= e
                 assert b ^ e not in v or v[b ^ e] & e, (hex(g), hex(b), e)
+
+
+def test_find_basis_evaluates_only_through_the_handle(monkeypatch):
+    # The narrowed search asks V(G) first and the candidates right after
+    # it, so each SEB evaluation is one violators() call the proxy sees.
+    evaluated = _record_evaluations(monkeypatch)
+    space = SebSpace(generate("uniform-square", {"n": 60, "dim": 2}, 5))
+    g = full_mask(60) & ~0b1001
+    for handle in (space, restrict(space, full_mask(60))):
+        proxy = _RecordingHandle(handle)
+        evaluated.clear()
+        basis = find_basis(proxy, g)
+        assert evaluated == [b for b in proxy.asked if b]
+        assert proxy.asked[0] == g
+        assert basis == find_basis(FuncSpace(60, space.violators, dim_hint=3), g)
+
+
+def _basis_clouds(dim: int, seed: int):
+    rng = np.random.default_rng(seed)
+    u = rng.random((8, dim))
+    sphere = generate("sphere-surface", {"n": 16, "dim": dim}, seed).points
+    yield np.concatenate([u, u])                              # every point doubled
+    yield rng.integers(0, 3, (16, dim)).astype(float)         # integer grid
+    yield sphere                                              # unit sphere
+    yield np.round(sphere, 1)                                 # rounded to one decimal
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_find_basis_matches_plain_on_degenerate_clouds(monkeypatch, dim):
+    # Where the candidates narrow G, the search probes X(G) only on a
+    # small valid set inside them; it must still find all of X and return
+    # the mask of the unpruned scan, directly and through restrict (the
+    # path of German --inner sa).
+    narrowed = _count_calls(monkeypatch, core, "_valid_core")
+    rng = random.Random(dim)
+    for pts in _basis_clouds(dim, 200 + dim):
+        space = SebSpace(make_seb(pts))
+        for handle in (space, restrict(space, rng.getrandbits(space.n) | 1)):
+            for g in [handle.ground] + [rng.getrandbits(handle.n) for _ in range(30)]:
+                proxy = _RecordingHandle(handle)
+                assert find_basis(proxy, g) == plain_find_basis(handle, g), hex(g)
+                _enumeration(proxy.asked, extreme_elements(handle, g))   # walked from X
+    assert narrowed[0] > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_find_basis_asks_few_large_sets(seed):
+    # On 400 planar points, V(G) and the leave-one-out probes of a valid
+    # set, a basis of at most d+1 points, are the only asks of sets larger
+    # than G's extreme candidates P.
+    space = SebSpace(generate("uniform-square", {"n": 400, "dim": 2}, seed))
+    g = space.ground
+    space.violators(g)
+    p = g & space.extreme_candidates(g)
+    proxy = _RecordingHandle(space)
+    basis = find_basis(proxy, g)
+    assert sum(b.bit_count() > p.bit_count() for b in proxy.asked) <= space.instance.dim + 2
+    assert basis == find_basis(FuncSpace(400, space.violators, dim_hint=3), g)
 
 
 def _loop_table(space):
