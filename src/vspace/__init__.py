@@ -30,7 +30,6 @@ from .core import (
     is_basis,
     is_nondegenerate,
     resolve_dimension,
-    restrict,
 )
 from .algorithms import (
     SolveResult,
@@ -106,7 +105,7 @@ __all__ = [
     "mask_of", "miniball", "partition_to_space",
     "pattern_is_hypercube_partition", "pattern_to_partition",
     "random_partition", "resolve_dimension",
-    "restrict", "roundtrip_check", "sa_experiment", "sa_forever",
+    "roundtrip_check", "sa_experiment", "sa_forever",
     "save_explicit", "save_partition", "save_seb", "seb_violators",
     "spawn", "swiss_algorithm", "tabulate", "verify_sampling_lemma",
     "violation_pattern", "weighted_sample", "write_report",

@@ -24,13 +24,13 @@ import random
 from dataclasses import dataclass
 
 from .core import (
+    RestrictedSpace,
     RoundRecord,
     RunTrace,
     ViolatorSpace,
     find_basis,
     growth_rounds,
     resolve_dimension,
-    restrict,
 )
 from .seeding import spawn
 from .subsets import expand
@@ -81,6 +81,10 @@ class SolveResult:
     calls: int  # rounds (german and swiss); 1 for a delegated run
 
 
+# The trace of a run that hands the whole ground set to find_basis.
+_DELEGATED = RunTrace(rounds=(), terminated_cleanly=True, delegated=True)
+
+
 def weighted_sample(weights: WeightMap, r: int, rng: random.Random) -> int:
     """Collapse of a uniform r-subset of the slip multiset.
 
@@ -129,7 +133,9 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
     them it raises SolverStall, as a stalled inner swiss run does, with the
     german rounds before it). The result is find_basis of the last working
     set, or its swiss basis. When n <= r the sample would be everything, so
-    the inner solver runs on the full space (delegated, with zero rounds).
+    the run is find_basis on the full space (delegated, with zero rounds)
+    for either inner solver: n <= r implies n <= 2d^2, where the inner
+    swiss run would delegate to that same call.
     """
     if inner not in ("bfa", "sa"):
         raise ValueError(f"inner solver must be 'bfa' or 'sa', got {inner!r}")
@@ -137,15 +143,7 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
     n = space.n
     r = german_sample_size(d, n)
     if n <= r:
-        if inner == "bfa":
-            basis = find_basis(space, space.ground)
-        else:
-            # n <= r implies n <= 2d^2, so this swiss run delegates too and
-            # cannot stall.
-            basis = swiss_algorithm(space, spawn(seed, 1)).basis
-        trace = RunTrace(kind="ga", initial=None, rounds=(),
-                         terminated_cleanly=True, delegated=True)
-        return SolveResult(basis, trace, 1)
+        return SolveResult(find_basis(space, space.ground), _DELEGATED, 1)
 
     rng = random.Random(spawn(seed, 0))
     sample = weighted_sample(WeightMap.unit(n), r, rng)
@@ -155,21 +153,22 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
         bases: list[int] = []   # inner swiss run i has seed spawn(seed, i)
 
         def step(g: int) -> int:
-            res = swiss_algorithm(restrict(space, g, dim_hint=d), spawn(seed, len(bases) + 1))
+            res = swiss_algorithm(RestrictedSpace(space, g, dim_hint=d),
+                                  spawn(seed, len(bases) + 1))
             bases.append(expand(res.basis, g))
             return space.violators(bases[-1])
 
     recs: list[RoundRecord] = []
 
     def trace(clean: bool) -> RunTrace:
-        return RunTrace(kind="ga", initial=sample, rounds=tuple(recs), terminated_cleanly=clean)
+        return RunTrace(rounds=tuple(recs), terminated_cleanly=clean)
 
     try:
         for rec in itertools.islice(growth_rounds(sample, step), d + 1):
             recs.append(rec)
             if rec.violators == 0:
                 basis = find_basis(space, rec.sample) if inner == "bfa" else bases[-1]
-                return SolveResult(basis, trace(True), rec.index)
+                return SolveResult(basis, trace(True), len(recs))
     except SolverStall as stall:
         raise SolverStall(f"inner swiss run stalled: {stall}", trace(False)) from stall
     raise SolverStall(f"basis loop ran past {d + 1} rounds; the handle does not "
@@ -186,12 +185,11 @@ def _doubling_rounds(space: ViolatorSpace, seed: int, r: int, rounds: int):
     of every basis of R by locality, so a round searches for no basis."""
     weights = WeightMap.unit(space.n)
     rng = random.Random(spawn(seed, 0))
-    for i in range(1, rounds + 1):
+    for _ in range(rounds):
         sample = weighted_sample(weights, r, rng)
         v = space.violators(sample)
         weights.double(v)
-        yield RoundRecord(index=i, sample=sample, violators=v,
-                          slips=r, weight_total=weights.total)
+        yield RoundRecord(sample=sample, violators=v, weight_total=weights.total)
 
 
 def swiss_algorithm(space: ViolatorSpace, seed: int, c: float = 2.0) -> SolveResult:
@@ -209,10 +207,7 @@ def swiss_algorithm(space: ViolatorSpace, seed: int, c: float = 2.0) -> SolveRes
     n = space.n
     r = swiss_sample_size(d, n, c)
     if n <= r:
-        basis = find_basis(space, space.ground)
-        trace = RunTrace(kind="sa", initial=None, rounds=(),
-                         terminated_cleanly=True, delegated=True)
-        return SolveResult(basis, trace, 1)
+        return SolveResult(find_basis(space, space.ground), _DELEGATED, 1)
 
     cap = default_safety_cap(d, n)
     recs: list[RoundRecord] = []
@@ -221,8 +216,7 @@ def swiss_algorithm(space: ViolatorSpace, seed: int, c: float = 2.0) -> SolveRes
         if rec.violators == 0:
             break
     clean = bool(recs) and recs[-1].violators == 0
-    trace = RunTrace(kind="sa", initial=None, rounds=tuple(recs),
-                     terminated_cleanly=clean, ground_size=n)
+    trace = RunTrace(rounds=tuple(recs), terminated_cleanly=clean, ground_size=n, slips=r)
     if not clean:
         raise SolverStall(f"no violator-free basis within {cap} rounds", trace)
     return SolveResult(find_basis(space, recs[-1].sample), trace, len(recs))
@@ -246,5 +240,4 @@ def sa_forever(space: ViolatorSpace, seed: int, max_rounds: int,
         raise ValueError(f"sample size r={r} must be below n={n} for round estimation")
     recs = tuple(_doubling_rounds(space, seed, r, max_rounds))
     clean = not recs or recs[-1].violators == 0
-    return RunTrace(kind="sa-forever", initial=None, rounds=recs,
-                    terminated_cleanly=clean, ground_size=n)
+    return RunTrace(rounds=recs, terminated_cleanly=clean, ground_size=n, slips=r)

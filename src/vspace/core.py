@@ -117,10 +117,6 @@ class RestrictedSpace(ViolatorSpace):
         return compress(full & self.support, self.support)
 
 
-def restrict(space: ViolatorSpace, support: int, dim_hint: int | None = None) -> RestrictedSpace:
-    return RestrictedSpace(space, support, dim_hint)
-
-
 @dataclass(frozen=True)
 class Counterexample:
     axiom: str
@@ -143,12 +139,11 @@ class AxiomReport:
 
 @dataclass(frozen=True, slots=True)
 class RoundRecord:
-    """One round of an iterative solver run (or of the composite iteration)."""
+    """One round of an iterative solver run (or of the composite iteration).
+    Its number is its position in RunTrace.rounds, counted from 1."""
 
-    index: int
     sample: int
     violators: int
-    slips: int | None = None          # multiset slips requested, where applicable
     weight_total: int | None = None   # total weight after doubling, where applicable
 
     @property
@@ -163,12 +158,14 @@ class RoundRecord:
 
 @dataclass(frozen=True, slots=True)
 class RunTrace:
-    kind: str                          # "ga" | "sa" | "sa-forever" | "composite"
-    initial: int | None
+    """The rounds of a run, in order. A weight-doubling run also keeps its
+    n and its slips per round r once, since all its rounds share them."""
+
     rounds: tuple[RoundRecord, ...]
     terminated_cleanly: bool
     delegated: bool = False
     ground_size: int | None = None     # n of a weight-doubling run, else None
+    slips: int | None = None           # r of a weight-doubling run, else None
 
     @property
     def final_weights(self) -> tuple[int, ...] | None:
@@ -197,7 +194,7 @@ def check_axioms(space: ViolatorSpace) -> AxiomReport:
     if n > AXIOM_CHECK_LIMIT:
         raise ValueError(f"axiom check refused: n={n} exceeds {AXIOM_CHECK_LIMIT}")
     full = full_mask(n)
-    table = [space.violators(g) for g in range(1 << n)]
+    table = space.violator_table()
 
     witnesses: list[Counterexample] = []
     consistent = True
@@ -422,8 +419,8 @@ def _fibers(space: ViolatorSpace, what: str):
     if n > DIMENSION_LIMIT:
         raise ValueError(f"{what} refused: n={n} exceeds {DIMENSION_LIMIT}")
     fibers: dict[int, list[int]] = {}
-    for g in range(1 << n):
-        fibers.setdefault(space.violators(g), []).append(g)
+    for g, v in enumerate(space.violator_table()):
+        fibers.setdefault(v, []).append(g)
     return fibers.values()
 
 
@@ -452,43 +449,43 @@ def resolve_dimension(space: ViolatorSpace) -> int:
 
 
 def growth_rounds(g: int, step):
-    """Lazily yield the rounds of G <- G | step(G) from G = g, numbered from
-    1: a round's sample is G before it, its violators step(G)."""
-    for i in itertools.count(1):
+    """Lazily yield the rounds of G <- G | step(G) from G = g: a round's
+    sample is G before it, its violators step(G)."""
+    while True:
         v = step(g)
-        yield RoundRecord(index=i, sample=g, violators=v)
+        yield RoundRecord(sample=g, violators=v)
         g |= v
 
 
-def composite_rounds(space: ViolatorSpace, subset: int, depth: int | None = None) -> RunTrace:
-    """Take `depth` growth rounds G <- G | V(G) starting from `subset`.
+def composite_rounds(space: ViolatorSpace, subset: int) -> RunTrace:
+    """Take d growth rounds G <- G | V(G) starting from `subset`, d the
+    space dimension.
 
-    depth defaults to the space dimension. Round i's violator set equals V
-    of the round's basis by locality, so no basis computation is needed
-    here. Any depth at least the true dimension yields the same final set:
-    a round with violators adds an element of every basis of H, and once a
-    basis of H is inside the working set its violator set is empty.
+    Round i's violator set equals V of the round's basis by locality, so
+    no basis computation is needed here. Any number of rounds at least
+    the true dimension yields the same final set: a round with violators
+    adds an element of every basis of H, and once a basis of H is inside
+    the working set its violator set is empty.
     """
-    d = resolve_dimension(space) if depth is None else depth
+    d = resolve_dimension(space)
     recs = tuple(itertools.islice(growth_rounds(subset, space.violators), d))
     clean = not recs or recs[-1].violators == 0
-    return RunTrace(kind="composite", initial=subset, rounds=recs,
-                    terminated_cleanly=clean)
+    return RunTrace(rounds=recs, terminated_cleanly=clean)
 
 
-def composite_violators(space: ViolatorSpace, subset: int, depth: int | None = None) -> int:
-    """Elements pulled in by `depth` rounds of G <- G | V(G), minus the start."""
-    trace = composite_rounds(space, subset, depth)
+def composite_violators(space: ViolatorSpace, subset: int) -> int:
+    """Elements pulled in by d rounds of G <- G | V(G), minus the start."""
+    trace = composite_rounds(space, subset)
     g = trace.rounds[-1].working if trace.rounds else subset
     return g & ~subset
 
 
-def composite_space(space: ViolatorSpace, depth: int | None = None) -> FuncSpace:
+def composite_space(space: ViolatorSpace) -> FuncSpace:
     """The space whose violator map is composite_violators of the base space.
 
     Its combinatorial dimension is at most d*(d+1)/2 for base dimension d,
     which is declared as the hint.
     """
-    d = resolve_dimension(space) if depth is None else depth
+    d = resolve_dimension(space)
     hint = d * (d + 1) // 2
-    return FuncSpace(space.n, lambda g: composite_violators(space, g, d), dim_hint=hint)
+    return FuncSpace(space.n, lambda g: composite_violators(space, g), dim_hint=hint)

@@ -199,8 +199,8 @@ def ga_experiment(space: ViolatorSpace, trials: int, seed: int,
         lambda s: german_algorithm(space, s, inner=inner).trace, trials, seed)
     rounds = [len(tr.rounds) for tr in traces]
     delegated = sum(tr.delegated for tr in traces)
-    max_working = [n if tr.delegated else max(rec.working.bit_count() for rec in tr.rounds)
-                   for tr in traces]
+    # Growth rounds only add, so the last round's working set is the largest.
+    max_working = [n if tr.delegated else tr.rounds[-1].working.bit_count() for tr in traces]
     size_bound = 2.0 * (d + 1) * math.sqrt(n / 2.0)
     mean, lo, hi = _mean_ci95(max_working) if max_working else (math.inf,) * 3
     rounds_max = max(rounds, default=0)
@@ -266,8 +266,8 @@ def sa_experiment(space: ViolatorSpace, trials: int, seed: int,
     for t in range(forever_traces):
         trace = sa_forever(space, spawn(seed, 10_000_019 + t), forever_rounds, c=c)
         prefixes.append(_controversial_prefix(trace))
-        for rec in trace.rounds:
-            weight_sums[rec.index] += rec.weight_total
+        for i, rec in enumerate(trace.rounds, 1):
+            weight_sums[i] += rec.weight_total
     rounds, stalled = _finished_trials(
         lambda s: len(swiss_algorithm(space, s, c=c).trace.rounds), trials, seed)
     round_bound = params.round_bound()
@@ -348,12 +348,12 @@ def composite_experiment(space: ViolatorSpace) -> dict:
         raise ValueError(f"composite experiment refused: n={n} exceeds {COMPOSITE_LIMIT}")
     d = resolve_dimension(space)
     bound_d = d * (d + 1) // 2
-    comp = composite_space(space, d)
+    comp = composite_space(space)
     tab = tabulate(comp, certify=True)
 
     forms_ok = True
     for g in range(1 << n):
-        trace = composite_rounds(space, g, d)
+        trace = composite_rounds(space, g)
         union = 0
         for rec in trace.rounds:
             union |= rec.violators
@@ -395,16 +395,16 @@ def composite_experiment(space: ViolatorSpace) -> dict:
 def trace_rows(trial: int, trace) -> list[tuple]:
     """Flatten a RunTrace into CSV rows (one per round)."""
     rows = []
-    for rec in trace.rounds:
+    for i, rec in enumerate(trace.rounds, 1):
         if rec.weight_total is not None:
-            ssize = rec.slips
+            ssize = trace.slips
             csize = rec.sample.bit_count()
             wow = rec.weight_total
         else:
             ssize = rec.sample.bit_count()
             csize = ssize
             wow = rec.working.bit_count()
-        rows.append((trial, rec.index, ssize, csize,
+        rows.append((trial, i, ssize, csize,
                      rec.violators.bit_count(), wow, int(rec.controversial)))
     return rows
 

@@ -186,7 +186,7 @@ def _nondegenerate_by_definition(space: ViolatorSpace) -> bool:
     inside G sharing V(G) contain the minimum-cardinality one (downward
     chains between equal-violator sets stay equal-violator by monotonicity).
     """
-    table = [space.violators(g) for g in range(1 << space.n)]
+    table = space.violator_table()
     for g in range(1 << space.n):
         vg = table[g]
         b0 = find_basis(space, g)

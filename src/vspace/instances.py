@@ -382,14 +382,19 @@ class SebSpace(ViolatorSpace):
     def _ball(self, subset: int, hits: list[int]):
         """(center, r^2) of the smallest ball enclosing the nonempty `subset`.
 
-        The one place the recursion runs. `hits` collects the points that
-        set off a recursion (see extreme_candidates).
+        `hits` collects the points that set off a recursion (see
+        extreme_candidates).
         """
+        order = elements(subset)
+        return self._recurse(order, len(order), (), hits)
+
+    def _recurse(self, order: list[int], end: int, boundary: tuple[int, ...], hits: list[int]):
+        """The one place the recursion runs: _mb on the ball memo, emptied
+        first when it has outgrown BALL_CACHE_LIMIT entries."""
         if len(self._balls) > BALL_CACHE_LIMIT:
             self._balls = {}
         inst = self.instance
-        order = elements(subset)
-        return _finite(_mb(self._points, order, len(order), (), inst.tolerance, inst.dim,
+        return _finite(_mb(self._points, order, end, boundary, inst.tolerance, inst.dim,
                            self._balls, hits))
 
     def _outside(self, ball) -> int:
@@ -422,8 +427,7 @@ class SebSpace(ViolatorSpace):
         depth-first walk keeps that state for each subset it extends; the
         outside mask is computed once per distinct ball.
         """
-        inst = self.instance
-        pts, tol, dim = self._points, inst.tolerance, inst.dim
+        pts, tol = self._points, self.instance.tolerance
         table = [full_mask(self.n)] * (1 << self.n)   # the walk fills all but V(empty set)
         outside = {}
         stack = [(0, [], None)]   # (subset, order list, ball) after its scan
@@ -432,10 +436,7 @@ class SebSpace(ViolatorSpace):
             for k in range(subset.bit_length(), self.n):
                 grown, grown_order, grown_ball = subset | 1 << k, order + [k], ball
                 if ball is None or not _dist2(pts[k], ball[0]) <= ball[1] * (1.0 + tol):
-                    if len(self._balls) > BALL_CACHE_LIMIT:
-                        self._balls = {}
-                    grown_ball = _finite(_mb(pts, grown_order, len(order), (k,), tol, dim,
-                                             self._balls, []))
+                    grown_ball = self._recurse(grown_order, len(order), (k,), [])
                     del grown_order[len(order)]
                     grown_order.insert(0, k)
                 if grown_ball not in outside:

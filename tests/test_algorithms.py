@@ -17,7 +17,8 @@ from vspace.algorithms import (
     swiss_sample_size,
     weighted_sample,
 )
-from vspace.core import FuncSpace, find_basis, is_basis, resolve_dimension, restrict
+from vspace.core import FuncSpace, RestrictedSpace, find_basis, is_basis, resolve_dimension
+from vspace.harness import trace_rows
 from vspace.instances import SebSpace, generate, make_seb
 from vspace.seeding import spawn
 from vspace.subsets import expand, full_mask
@@ -108,12 +109,13 @@ def test_german_solves_every_fixture(roster, key):
         assert is_basis(space, res.basis)
         assert res.calls <= d + 1
         tr = res.trace
-        assert tr.kind == "ga"
+        assert tr.ground_size is None and tr.slips is None  # no weight doubling
         assert tr.terminated_cleanly
         if tr.delegated:
             assert tr.rounds == ()
             continue
-        prev = tr.initial
+        prev = tr.rounds[0].sample
+        assert prev.bit_count() == german_sample_size(d, space.n)
         for rec in tr.rounds:
             assert rec.sample == prev
             assert rec.working == rec.sample | rec.violators
@@ -128,7 +130,7 @@ def test_german_deterministic(roster):
     assert a == b
     c = german_algorithm(roster["interval12"], seed=6)
     assert a.basis == c.basis  # unique basis of H on this space
-    assert (a.trace.initial == c.trace.initial) is False
+    assert a.trace.rounds[0].sample != c.trace.rounds[0].sample
 
 
 def test_german_inner_sa_agrees(roster):
@@ -151,6 +153,27 @@ def test_german_delegates_small_ground(roster):
     assert res.trace.delegated
     assert res.basis == full_mask(5)
     assert res.calls == 1
+
+
+def test_german_delegation_implies_swiss_delegation():
+    # german_algorithm delegates to find_basis(space, space.ground) for
+    # either inner solver because an inner swiss run on the whole ground
+    # set would delegate to the same call: n <= r_german implies n <= r_swiss.
+    pairs = 0
+    for d in range(65):
+        for n in range(2 * d * d + 3):
+            if n <= german_sample_size(d, n):
+                assert n <= swiss_sample_size(d, n), (d, n)
+            pairs += 1
+    assert pairs == 179_075
+
+
+def test_german_delegated_inners_agree(roster):
+    space = roster["singleton5"]  # d = 5, delegated
+    for seed in range(6):
+        a = german_algorithm(space, seed, inner="sa")
+        assert a.trace.delegated
+        assert a == german_algorithm(space, seed, inner="bfa")
 
 
 def test_german_detects_lying_handle():
@@ -177,7 +200,8 @@ def basis_per_round_german(space, seed, inner="bfa"):
         if inner == "bfa":
             b = find_basis(space, g)
         else:
-            b = expand(swiss_algorithm(restrict(space, g, dim_hint=d), spawn(seed, calls)).basis, g)
+            inner_space = RestrictedSpace(space, g, dim_hint=d)
+            b = expand(swiss_algorithm(inner_space, spawn(seed, calls)).basis, g)
         v = space.violators(b)
         rounds.append((g, v))
         if v == 0:
@@ -202,7 +226,7 @@ def _assert_german_matches_oracle(space, seeds, inner):
             continue
         basis, rounds = basis_per_round_german(space, seed, inner)
         assert [(rec.sample, rec.violators) for rec in res.trace.rounds] == rounds
-        assert [rec.index for rec in res.trace.rounds] == list(range(1, len(rounds) + 1))
+        assert [row[1] for row in trace_rows(0, res.trace)] == list(range(1, len(rounds) + 1))
         assert res.basis == basis and res.calls == len(rounds)
         for rec in res.trace.rounds:
             assert space.violators(rec.sample) == rec.violators
@@ -231,7 +255,9 @@ def test_swiss_solves_and_doubles(roster, key):
         res = swiss_algorithm(space, seed=400 + t)
         assert space.violators(res.basis) == 0
         tr = res.trace
-        assert tr.kind == "sa" and tr.terminated_cleanly and not tr.delegated
+        assert tr.terminated_cleanly and not tr.delegated
+        assert tr.ground_size == space.n
+        assert tr.slips == swiss_sample_size(resolve_dimension(space), space.n)
         assert res.calls == len(tr.rounds)
         # replay the doubling ledger from the trace
         mu = [1] * space.n
@@ -302,8 +328,8 @@ def test_swiss_matches_basis_per_round_oracle_on_clouds(points):
 def test_swiss_sample_sizes(roster):
     space = roster["interval12"]  # d=2, c=2 -> r=8
     res = swiss_algorithm(space, seed=77)
+    assert res.trace.slips == 8
     for rec in res.trace.rounds:
-        assert rec.slips == 8
         assert 1 <= rec.sample.bit_count() <= 8
 
 
@@ -338,9 +364,9 @@ def test_swiss_stall_carries_trace(roster, monkeypatch):
 def test_sa_forever_fixed_length(roster):
     space = roster["f1"]
     trace = sa_forever(space, seed=9, max_rounds=25)
-    assert trace.kind == "sa-forever"
+    assert trace.ground_size == 3 and trace.slips == 2
     assert len(trace.rounds) == 25
-    assert [rec.index for rec in trace.rounds] == list(range(1, 26))
+    assert [row[1] for row in trace_rows(0, trace)] == list(range(1, 26))
     mu = [1] * 3
     for rec in trace.rounds:
         m = rec.violators

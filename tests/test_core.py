@@ -9,6 +9,7 @@ from vspace.algorithms import german_algorithm, swiss_algorithm
 from vspace.core import (
     BudgetExceeded,
     FuncSpace,
+    RestrictedSpace,
     ViolatorSpace,
     anti_basis,
     check_axioms,
@@ -18,10 +19,10 @@ from vspace.core import (
     composite_violators,
     extreme_elements,
     find_basis,
+    growth_rounds,
     is_basis,
     is_nondegenerate,
     resolve_dimension,
-    restrict,
 )
 from vspace.hypercube import enumerate_partitions, partition_to_space, random_partition
 from vspace.instances import ExplicitSpace, tabulate
@@ -258,7 +259,7 @@ def test_f2_has_two_minimal_bases(roster):
 def test_restrict_matches_compress(roster):
     base = roster["interval12"]
     support = 0b100000100001  # elements {0, 5, 11}
-    sub = restrict(base, support)
+    sub = RestrictedSpace(base, support)
     assert sub.n == 3
     assert sub.dim_hint == base.dim_hint
     for dense in range(8):
@@ -269,7 +270,7 @@ def test_restrict_matches_compress(roster):
 def test_restrict_basis_expands(roster):
     base = roster["interval12"]
     support = 0b111111000000
-    sub = restrict(base, support)
+    sub = RestrictedSpace(base, support)
     dense_basis = find_basis(sub, full_mask(6))
     got = expand(dense_basis, support)
     # basis of the restriction: extremes of {6..11} are 6 and 11
@@ -322,7 +323,7 @@ def test_composite_frozen_f1(roster):
     assert composite_violators(f1, 0b001) == 0
     assert composite_violators(f1, 0b100) == 0b011
     trace = composite_rounds(f1, 0b100)
-    assert trace.kind == "composite"
+    assert not trace.delegated and trace.ground_size is None and trace.slips is None
     assert len(trace.rounds) == 1  # d = 1
     assert trace.rounds[0].sample == 0b100
     assert trace.rounds[0].working == 0b111
@@ -330,11 +331,14 @@ def test_composite_frozen_f1(roster):
 
 @pytest.mark.parametrize("key", ["f1", "f2", "hpart4", "singleton5", "empty6"])
 def test_composite_depth_insensitive(roster, key):
+    # d growth rounds, as composite_violators takes, end where d+2 do.
     space = roster[key]
     d = combinatorial_dimension(space)
     for g in range(1 << space.n):
-        v = composite_violators(space, g, d)
-        assert composite_violators(space, g, d + 2) == v
+        recs = list(itertools.islice(growth_rounds(g, space.violators), d + 2))
+        after_d = recs[d - 1].working if d else g
+        assert recs[-1].working == after_d
+        assert composite_violators(space, g) == after_d & ~g
 
 
 def test_composite_space_hint(roster):

@@ -262,10 +262,10 @@ def test_trace_rows_sa_shape(roster):
     res = swiss_algorithm(roster["f1"], seed=11)
     rows = trace_rows(3, res.trace)
     assert len(rows) == len(res.trace.rounds)
-    for row, rec in zip(rows, res.trace.rounds):
+    for i, (row, rec) in enumerate(zip(rows, res.trace.rounds), 1):
         trial, idx, ssize, csize, nviol, wow, flag = row
-        assert trial == 3 and idx == rec.index
-        assert ssize == rec.slips == 2
+        assert trial == 3 and idx == i
+        assert ssize == res.trace.slips == 2
         assert csize == rec.sample.bit_count() <= ssize
         assert nviol == rec.violators.bit_count()
         assert wow == rec.weight_total

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from vspace import core, instances
 from vspace.core import (
     FuncSpace,
+    RestrictedSpace,
     ViolatorSpace,
     check_axioms,
     extreme_elements,
     find_basis,
-    restrict,
 )
 from vspace.instances import (
     DEFAULT_TOLERANCE,
@@ -281,7 +281,7 @@ def test_extreme_candidates_exact_on_degenerate_clouds(dim):
         subsets = [0, full_mask(n)] + [rng.getrandbits(n) for _ in range(40)]
         _assert_matches_index_order(space, subsets)
         _assert_narrowing_exact(space, subsets)
-        sub = restrict(space, rng.getrandbits(n) | 1)
+        sub = RestrictedSpace(space, rng.getrandbits(n) | 1)
         _assert_narrowing_exact(sub, [0, full_mask(sub.n)] + [rng.getrandbits(sub.n) for _ in range(10)])
 
 
@@ -322,7 +322,7 @@ def test_extreme_candidates_small_cases():
     assert space.extreme_candidates(0b1011) == fresh.extreme_candidates(0b1011)
     assert extreme_elements(space, 0b1011) == 0b0011
     # a restriction of a handle without the method probes every element
-    table = restrict(FuncSpace(3, lambda g: 0), 0b101)
+    table = RestrictedSpace(FuncSpace(3, lambda g: 0), 0b101)
     assert table.extreme_candidates(0b11) == 0b11
 
 
@@ -372,7 +372,7 @@ def test_extreme_pass_evaluates_only_through_the_handle(monkeypatch):
     evaluated = _record_evaluations(monkeypatch)
     space = SebSpace(generate("uniform-square", {"n": 60, "dim": 2}, 5))
     g = full_mask(60) & ~0b1001
-    for handle in (space, restrict(space, full_mask(60))):
+    for handle in (space, RestrictedSpace(space, full_mask(60))):
         proxy = _RecordingHandle(handle)
         evaluated.clear()
         x = extreme_elements(proxy, g)
@@ -423,7 +423,7 @@ def test_find_basis_evaluates_only_through_the_handle(monkeypatch):
     evaluated = _record_evaluations(monkeypatch)
     space = SebSpace(generate("uniform-square", {"n": 60, "dim": 2}, 5))
     g = full_mask(60) & ~0b1001
-    for handle in (space, restrict(space, full_mask(60))):
+    for handle in (space, RestrictedSpace(space, full_mask(60))):
         proxy = _RecordingHandle(handle)
         evaluated.clear()
         basis = find_basis(proxy, g)
@@ -446,13 +446,13 @@ def _basis_clouds(dim: int, seed: int):
 def test_find_basis_matches_plain_on_degenerate_clouds(monkeypatch, dim):
     # Where the candidates narrow G, the search probes X(G) only on a
     # small valid set inside them; it must still find all of X and return
-    # the mask of the unpruned scan, directly and through restrict (the
+    # the mask of the unpruned scan, directly and through RestrictedSpace (the
     # path of German --inner sa).
     narrowed = _count_calls(monkeypatch, core, "_valid_core")
     rng = random.Random(dim)
     for pts in _basis_clouds(dim, 200 + dim):
         space = SebSpace(make_seb(pts))
-        for handle in (space, restrict(space, rng.getrandbits(space.n) | 1)):
+        for handle in (space, RestrictedSpace(space, rng.getrandbits(space.n) | 1)):
             for g in [handle.ground] + [rng.getrandbits(handle.n) for _ in range(30)]:
                 proxy = _RecordingHandle(handle)
                 assert find_basis(proxy, g) == plain_find_basis(handle, g), hex(g)
