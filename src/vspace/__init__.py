@@ -15,7 +15,6 @@ from .core import (
     BudgetExceeded,
     Counterexample,
     FuncSpace,
-    RestrictedSpace,
     RoundRecord,
     RunTrace,
     ViolatorSpace,
@@ -92,8 +91,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AxiomReport", "Ball", "BoundParams", "BudgetExceeded", "Counterexample",
     "ExplicitSpace", "FuncSpace", "HypercubePartition", "Interval",
-    "RestrictedSpace", "RoundRecord", "RunTrace", "SamplingReport",
-    "SamplingStats", "SebInstance", "SebSpace", "SolveResult", "SolverStall",
+    "RoundRecord", "RunTrace", "SamplingReport", "SamplingStats",
+    "SebInstance", "SebSpace", "SolveResult", "SolverStall",
     "ViolationPattern", "ViolatorSpace", "WeightMap",
     "anti_basis", "check_axioms", "combinatorial_dimension",
     "composite_experiment", "composite_rounds", "composite_space",

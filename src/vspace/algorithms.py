@@ -24,7 +24,6 @@ import random
 from dataclasses import dataclass
 
 from .core import (
-    RestrictedSpace,
     RoundRecord,
     RunTrace,
     ViolatorSpace,
@@ -33,7 +32,7 @@ from .core import (
     resolve_dimension,
 )
 from .seeding import spawn
-from .subsets import expand
+from .subsets import elements
 
 
 class SolverStall(RuntimeError):
@@ -57,9 +56,18 @@ class WeightMap:
 
     @classmethod
     def unit(cls, n: int) -> "WeightMap":
+        return cls._indicator(n, (1 << n) - 1)
+
+    @classmethod
+    def _indicator(cls, n: int, support: int) -> "WeightMap":
+        """Weight 1 on the elements of support and 0 on the rest of 0..n-1.
+        weighted_sample never draws a zero weight; the constructor still
+        refuses them, so this fills the fields directly."""
         w = cls.__new__(cls)
         w.mu = [1] * n
-        w.total = len(w.mu)
+        for i in elements(((1 << n) - 1) & ~support):
+            w.mu[i] = 0
+        w.total = support.bit_count()
         return w
 
     def double(self, mask: int) -> None:
@@ -128,7 +136,8 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
 
     Each round merges V(B) into the working set G, for B a basis of G: with
     inner="bfa" that is V(G) itself by locality, with inner="sa" B is the
-    swiss algorithm's basis of the restriction to G. A round with violators
+    basis of the swiss stage run on this handle with its weights confined
+    to G (inner run i has seed spawn(seed, i)). A round with violators
     adds an element of every basis of H, so d+1 rounds always suffice (past
     them it raises SolverStall, as a stalled inner swiss run does, with the
     german rounds before it). The result is find_basis of the last working
@@ -153,9 +162,7 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
         bases: list[int] = []   # inner swiss run i has seed spawn(seed, i)
 
         def step(g: int) -> int:
-            res = swiss_algorithm(RestrictedSpace(space, g, dim_hint=d),
-                                  spawn(seed, len(bases) + 1))
-            bases.append(expand(res.basis, g))
+            bases.append(_swiss(space, g, spawn(seed, len(bases) + 1), 2.0).basis)
             return space.violators(bases[-1])
 
     recs: list[RoundRecord] = []
@@ -179,15 +186,17 @@ def default_safety_cap(d: int, n: int) -> int:
     return math.ceil(64 * (d + 1) * (math.log2(max(n, 2)) + 1))
 
 
-def _doubling_rounds(space: ViolatorSpace, seed: int, r: int, rounds: int):
-    """Lazily yield up to `rounds` rounds of: weighted sample R of r slips
-    from unit weights, its violators V(R), double their weights. V(R) is V
-    of every basis of R by locality, so a round searches for no basis."""
-    weights = WeightMap.unit(space.n)
+def _doubling_rounds(space: ViolatorSpace, support: int, seed: int, r: int, rounds: int):
+    """Lazily yield up to `rounds` rounds of: weighted sample R of r slips,
+    its violators in the support V(R) & support, double their weights.
+    Weights start at 1 on the support and 0 off it, so every sample lies
+    in the support. V(R) is V of every basis of R by locality, so a round
+    searches for no basis."""
+    weights = WeightMap._indicator(space.n, support)
     rng = random.Random(spawn(seed, 0))
     for _ in range(rounds):
         sample = weighted_sample(weights, r, rng)
-        v = space.violators(sample)
+        v = space.violators(sample) & support
         weights.double(v)
         yield RoundRecord(sample=sample, violators=v, weight_total=weights.total)
 
@@ -203,20 +212,31 @@ def swiss_algorithm(space: ViolatorSpace, seed: int, c: float = 2.0) -> SolveRes
     Exceeding the safety cap, default_safety_cap(d, n) rounds, raises
     SolverStall with the trace attached.
     """
+    return _swiss(space, space.ground, seed, c)
+
+
+def _swiss(space: ViolatorSpace, support: int, seed: int, c: float) -> SolveResult:
+    """swiss_algorithm confined to `support`, with n = |support|.
+
+    Weights are 0 off the support, so every sample lies in it; each sample,
+    oracle call and the basis are those of the run on the space restricted
+    to the support, placed at the support's positions (the tests keep that
+    restriction as the oracle). The trace keeps the handle's indexing.
+    """
     d = resolve_dimension(space)
-    n = space.n
+    n = support.bit_count()
     r = swiss_sample_size(d, n, c)
     if n <= r:
-        return SolveResult(find_basis(space, space.ground), _DELEGATED, 1)
+        return SolveResult(find_basis(space, support), _DELEGATED, 1)
 
     cap = default_safety_cap(d, n)
     recs: list[RoundRecord] = []
-    for rec in _doubling_rounds(space, seed, r, cap):
+    for rec in _doubling_rounds(space, support, seed, r, cap):
         recs.append(rec)
         if rec.violators == 0:
             break
     clean = bool(recs) and recs[-1].violators == 0
-    trace = RunTrace(rounds=tuple(recs), terminated_cleanly=clean, ground_size=n, slips=r)
+    trace = RunTrace(rounds=tuple(recs), terminated_cleanly=clean, ground_size=space.n, slips=r)
     if not clean:
         raise SolverStall(f"no violator-free basis within {cap} rounds", trace)
     return SolveResult(find_basis(space, recs[-1].sample), trace, len(recs))
@@ -238,6 +258,6 @@ def sa_forever(space: ViolatorSpace, seed: int, max_rounds: int,
     r = swiss_sample_size(d, n, c)
     if r >= n:
         raise ValueError(f"sample size r={r} must be below n={n} for round estimation")
-    recs = tuple(_doubling_rounds(space, seed, r, max_rounds))
+    recs = tuple(_doubling_rounds(space, space.ground, seed, r, max_rounds))
     clean = not recs or recs[-1].violators == 0
     return RunTrace(rounds=recs, terminated_cleanly=clean, ground_size=n, slips=r)

@@ -23,8 +23,6 @@ import itertools
 from dataclasses import dataclass
 
 from .subsets import (
-    expand,
-    compress,
     elements,
     full_mask,
     interval_hull,
@@ -92,29 +90,6 @@ class FuncSpace(ViolatorSpace):
 
     def violators(self, subset: int) -> int:
         return self._fn(subset)
-
-
-class RestrictedSpace(ViolatorSpace):
-    """View of a space restricted to a support set, reindexed densely.
-
-    The restricted map is F -> V(F) & support, with masks translated to a
-    dense 0..k-1 indexing. Use subsets.expand/compress with the support
-    mask to translate results back.
-    """
-
-    def __init__(self, base: ViolatorSpace, support: int, dim_hint: int | None = None):
-        self.base = base
-        self.support = support
-        self.n = support.bit_count()
-        self.dim_hint = dim_hint if dim_hint is not None else base.dim_hint
-
-    def violators(self, subset: int) -> int:
-        full = self.base.violators(expand(subset, self.support))
-        return compress(full & self.support, self.support)
-
-    def extreme_candidates(self, subset: int) -> int:
-        full = self.base.extreme_candidates(expand(subset, self.support))
-        return compress(full & self.support, self.support)
 
 
 @dataclass(frozen=True)

@@ -62,35 +62,6 @@ def interval_hull(family: Iterable[int]) -> tuple[int, int] | None:
     return bottom, top
 
 
-def compress(mask: int, support: int) -> int:
-    """Extract the bits of mask at the positions of support into a dense mask.
-
-    Bit j of the result corresponds to the j-th lowest set bit of support.
-    mask must be a submask of support.
-    """
-    out = 0
-    j = 0
-    while support:
-        low = support & -support
-        if mask & low:
-            out |= 1 << j
-        j += 1
-        support ^= low
-    return out
-
-
-def expand(dense: int, support: int) -> int:
-    """Inverse of compress: place bit j of dense at the j-th set bit of support."""
-    out = 0
-    while dense:
-        low = support & -support
-        if dense & 1:
-            out |= low
-        dense >>= 1
-        support ^= low
-    return out
-
-
 def iter_size_k_submasks(mask: int, k: int) -> Iterator[int]:
     """Submasks of mask with exactly k bits, in ascending numeric order."""
     m = mask.bit_count()

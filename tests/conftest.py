@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from vspace.core import ViolatorSpace
 from vspace.fixtures import (
     empty_violators_space,
     f1_space,
@@ -44,6 +45,75 @@ def plain_find_basis(space, subset):
         if space.violators(b) & subset == 0:
             return b
     raise ValueError(f"no basis below {subset:#x}")
+
+
+def compress(mask: int, support: int) -> int:
+    """Extract the bits of mask at the positions of support into a dense mask.
+
+    Bit j of the result corresponds to the j-th lowest set bit of support.
+    mask must be a submask of support.
+    """
+    out = 0
+    j = 0
+    while support:
+        low = support & -support
+        if mask & low:
+            out |= 1 << j
+        j += 1
+        support ^= low
+    return out
+
+
+def expand(dense: int, support: int) -> int:
+    """Inverse of compress: place bit j of dense at the j-th set bit of support."""
+    out = 0
+    while dense:
+        low = support & -support
+        if dense & 1:
+            out |= low
+        dense >>= 1
+        support ^= low
+    return out
+
+
+class RestrictedSpace(ViolatorSpace):
+    """View of a space restricted to a support set, reindexed densely.
+
+    The restricted map is F -> V(F) & support, with masks translated to a
+    dense 0..k-1 indexing; expand/compress with the support mask translate
+    results back. The oracle for the swiss stage that German --inner sa
+    runs on its parent handle with weights confined to the working set.
+    """
+
+    def __init__(self, base: ViolatorSpace, support: int, dim_hint: int | None = None):
+        self.base = base
+        self.support = support
+        self.n = support.bit_count()
+        self.dim_hint = dim_hint if dim_hint is not None else base.dim_hint
+
+    def violators(self, subset: int) -> int:
+        full = self.base.violators(expand(subset, self.support))
+        return compress(full & self.support, self.support)
+
+    def extreme_candidates(self, subset: int) -> int:
+        full = self.base.extreme_candidates(expand(subset, self.support))
+        return compress(full & self.support, self.support)
+
+
+class RecordingHandle:
+    """Forwarding proxy that records every mask violators() is asked for,
+    like a tracer's."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.asked: list[int] = []
+
+    def violators(self, subset: int) -> int:
+        self.asked.append(subset)
+        return self._inner.violators(subset)
+
+    def __getattr__(self, attr):
+        return getattr(self._inner, attr)
 
 
 def _index_order_mb(pts, sel, boundary, tol, dim):

@@ -17,11 +17,13 @@ from vspace.algorithms import (
     swiss_sample_size,
     weighted_sample,
 )
-from vspace.core import FuncSpace, RestrictedSpace, find_basis, is_basis, resolve_dimension
+from vspace.core import FuncSpace, find_basis, is_basis, resolve_dimension
 from vspace.harness import trace_rows
 from vspace.instances import SebSpace, generate, make_seb
 from vspace.seeding import spawn
-from vspace.subsets import expand, full_mask
+from vspace.subsets import elements, full_mask
+
+from conftest import RecordingHandle, RestrictedSpace, compress, expand
 
 
 def test_weightmap_basics():
@@ -95,6 +97,33 @@ def test_weighted_sample_properties(mu, r, seed):
     if all(x == 1 for x in mu):
         assert mask.bit_count() == r
 
+
+
+def test_weighted_sample_on_a_support_is_the_dense_sample_expanded():
+    # Weights 0 off the support collapse every slip to the support element
+    # the dense weights (the support's elements in order) collapse it to:
+    # the sample is the dense one placed at the support's positions, drawn
+    # with the same rng calls, and no zero-weight element is ever drawn.
+    rng = random.Random(16)
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        support = rng.getrandbits(n) | 1 << rng.randrange(n)
+        sparse = WeightMap._indicator(n, support)
+        dense = WeightMap.unit(support.bit_count())
+        for _ in range(rng.randint(0, 6)):
+            v = rng.getrandbits(n) & support
+            sparse.double(v)
+            dense.double(compress(v, support))
+        assert sparse.total == dense.total
+        assert [sparse.mu[i] for i in elements(support)] == dense.mu
+        assert all(w == 0 for i, w in enumerate(sparse.mu) if not support >> i & 1)
+        r = rng.randint(1, dense.total)
+        seed = rng.getrandbits(32)
+        a, b = random.Random(seed), random.Random(seed)
+        got = weighted_sample(sparse, r, a)
+        assert got == expand(weighted_sample(dense, r, b), support)
+        assert got & ~support == 0
+        assert a.getstate() == b.getstate()
 
 GA_KEYS = ("f1", "f2", "seb8", "empty6", "singleton5", "hpart4", "interval12")
 
@@ -245,12 +274,43 @@ def test_german_matches_basis_per_round_oracle_on_clouds(points):
     _assert_german_matches_oracle(space, range(2), "sa")
 
 
+def _assert_inner_sa_asks_like_the_oracle(fresh, seeds):
+    # The support-confined swiss stage must ask the parent handle the
+    # masks that the RestrictedSpace oracle asks, expanded, in order.
+    for seed in seeds:
+        run, oracle = RecordingHandle(fresh()), RecordingHandle(fresh())
+        if german_algorithm(run, seed, inner="sa").trace.delegated:
+            continue
+        basis_per_round_german(oracle, seed, "sa")
+        assert run.asked == oracle.asked, seed
+
+
+@pytest.mark.parametrize("key", GA_KEYS)
+def test_german_inner_sa_asks_the_oracle_masks_on_roster(roster, key):
+    _assert_inner_sa_asks_like_the_oracle(lambda: roster[key], range(20))
+
+
+def test_german_inner_sa_asks_the_oracle_masks_on_a_cloud():
+    points = dict(_german_clouds())["planar200"]
+    _assert_inner_sa_asks_like_the_oracle(lambda: SebSpace(make_seb(points)), range(10))
+
+
 SA_REAL_KEYS = ("f1", "interval12")
+
+# (seed, ground_size, slips, final_weights) of one frozen public swiss
+# trace per key: n and the weights stay in the handle's own indexing.
+SWISS_FROZEN = {
+    "f1": (401, 3, 2, (2, 1, 1)),
+    "interval12": (401, 12, 8, (4, 2) + (1,) * 10),
+}
 
 
 @pytest.mark.parametrize("key", SA_REAL_KEYS)
 def test_swiss_solves_and_doubles(roster, key):
     space = roster[key]
+    seed, n, r, weights = SWISS_FROZEN[key]
+    tr = swiss_algorithm(space, seed).trace
+    assert (tr.ground_size, tr.slips, tr.final_weights) == (n, r, weights)
     for t in range(10):
         res = swiss_algorithm(space, seed=400 + t)
         assert space.violators(res.basis) == 0

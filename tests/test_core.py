@@ -9,7 +9,6 @@ from vspace.algorithms import german_algorithm, swiss_algorithm
 from vspace.core import (
     BudgetExceeded,
     FuncSpace,
-    RestrictedSpace,
     ViolatorSpace,
     anti_basis,
     check_axioms,
@@ -26,9 +25,9 @@ from vspace.core import (
 )
 from vspace.hypercube import enumerate_partitions, partition_to_space, random_partition
 from vspace.instances import ExplicitSpace, tabulate
-from vspace.subsets import compress, expand, full_mask, iter_submasks
+from vspace.subsets import full_mask, iter_submasks
 
-from conftest import ROSTER_KEYS, plain_find_basis
+from conftest import ROSTER_KEYS, RestrictedSpace, compress, expand, plain_find_basis
 
 
 @pytest.mark.parametrize("key", ROSTER_KEYS)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from vspace import core, instances
 from vspace.core import (
     FuncSpace,
-    RestrictedSpace,
     ViolatorSpace,
     check_axioms,
     extreme_elements,
@@ -35,7 +34,7 @@ from vspace.instances import (
 from vspace.subsets import full_mask
 
 import conftest
-from conftest import index_order_violators, plain_find_basis
+from conftest import RecordingHandle, RestrictedSpace, index_order_violators, plain_find_basis
 
 SEB8 = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "seb8.json"
 
@@ -336,22 +335,6 @@ def test_members_outside_the_final_ball_are_candidates(monkeypatch):
     assert space.extreme_candidates(0b011) == 0b010
 
 
-class _RecordingHandle:
-    """Forwarding proxy that records every mask violators() is asked for,
-    like a tracer's."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.asked: list[int] = []
-
-    def violators(self, subset: int) -> int:
-        self.asked.append(subset)
-        return self._inner.violators(subset)
-
-    def __getattr__(self, attr):
-        return getattr(self._inner, attr)
-
-
 def _record_evaluations(monkeypatch) -> list[int]:
     """Every subset SebSpace evaluates from now on, in order."""
     evaluated = []
@@ -373,7 +356,7 @@ def test_extreme_pass_evaluates_only_through_the_handle(monkeypatch):
     space = SebSpace(generate("uniform-square", {"n": 60, "dim": 2}, 5))
     g = full_mask(60) & ~0b1001
     for handle in (space, RestrictedSpace(space, full_mask(60))):
-        proxy = _RecordingHandle(handle)
+        proxy = RecordingHandle(handle)
         evaluated.clear()
         x = extreme_elements(proxy, g)
         assert len(evaluated) == len(proxy.asked)
@@ -404,7 +387,7 @@ def test_find_basis_asks_nothing_locality_decided(dim):
     rng = random.Random(dim)
     for g in [full_mask(n)] + [rng.getrandbits(n) for _ in range(20)]:
         x = extreme_elements(space, g)
-        proxy = _RecordingHandle(space)
+        proxy = RecordingHandle(space)
         basis = find_basis(proxy, g)
         assert basis == plain_find_basis(space, g), hex(g)
         candidates = _enumeration(proxy.asked, x)
@@ -424,7 +407,7 @@ def test_find_basis_evaluates_only_through_the_handle(monkeypatch):
     space = SebSpace(generate("uniform-square", {"n": 60, "dim": 2}, 5))
     g = full_mask(60) & ~0b1001
     for handle in (space, RestrictedSpace(space, full_mask(60))):
-        proxy = _RecordingHandle(handle)
+        proxy = RecordingHandle(handle)
         evaluated.clear()
         basis = find_basis(proxy, g)
         assert evaluated == [b for b in proxy.asked if b]
@@ -446,15 +429,15 @@ def _basis_clouds(dim: int, seed: int):
 def test_find_basis_matches_plain_on_degenerate_clouds(monkeypatch, dim):
     # Where the candidates narrow G, the search probes X(G) only on a
     # small valid set inside them; it must still find all of X and return
-    # the mask of the unpruned scan, directly and through RestrictedSpace (the
-    # path of German --inner sa).
+    # the mask of the unpruned scan, directly and through RestrictedSpace, the
+    # test oracle for the support-confined swiss stage of German --inner sa.
     narrowed = _count_calls(monkeypatch, core, "_valid_core")
     rng = random.Random(dim)
     for pts in _basis_clouds(dim, 200 + dim):
         space = SebSpace(make_seb(pts))
         for handle in (space, RestrictedSpace(space, rng.getrandbits(space.n) | 1)):
             for g in [handle.ground] + [rng.getrandbits(handle.n) for _ in range(30)]:
-                proxy = _RecordingHandle(handle)
+                proxy = RecordingHandle(handle)
                 assert find_basis(proxy, g) == plain_find_basis(handle, g), hex(g)
                 _enumeration(proxy.asked, extreme_elements(handle, g))   # walked from X
     assert narrowed[0] > 0
@@ -469,7 +452,7 @@ def test_find_basis_asks_few_large_sets(seed):
     g = space.ground
     space.violators(g)
     p = g & space.extreme_candidates(g)
-    proxy = _RecordingHandle(space)
+    proxy = RecordingHandle(space)
     basis = find_basis(proxy, g)
     assert sum(b.bit_count() > p.bit_count() for b in proxy.asked) <= space.instance.dim + 2
     assert basis == find_basis(FuncSpace(400, space.violators, dim_hint=3), g)

@@ -5,9 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vspace.subsets import (
-    compress,
     elements,
-    expand,
     full_mask,
     iter_by_size_then_value,
     iter_size_k_submasks,
@@ -15,6 +13,8 @@ from vspace.subsets import (
     iter_submasks_ascending,
     mask_of,
 )
+
+from conftest import compress, expand
 
 masks = st.integers(min_value=0, max_value=(1 << 12) - 1)
 
