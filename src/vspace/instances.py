@@ -305,12 +305,38 @@ def _mb(pts, order: list[int], end: int, boundary: tuple[int, ...], tol: float,
     A boundary ball is a function of its ordered index tuple alone, so
     `balls` memoizes it exactly. Every point that sets off a recursion is
     appended to `hits`.
+
+    Planar points take an inlined containment test: the limit
+    r^2 * (1 + tol) is computed once per ball, and the squared distance is
+    t0*t0 + t1*t1. That is bit for bit _dist2's (0.0 + t0*t0) + t1*t1,
+    because t*t is never -0.0, so adding it to +0.0 is exact. Every other
+    dimension runs the generic loop.
     """
     if boundary in balls:
         ball = balls[boundary]
     else:
         ball = balls[boundary] = _ball_with_boundary([pts[j] for j in boundary], tol)
     if len(boundary) == dim + 1:
+        return ball
+    if dim == 2:
+        if ball is not None:
+            (c0, c1), r2 = ball
+            lim = r2 * (1.0 + tol)
+        for i in range(end):
+            j = order[i]
+            if ball is not None:
+                p = pts[j]
+                t0 = p[0] - c0
+                t1 = p[1] - c1
+                if t0 * t0 + t1 * t1 <= lim:
+                    continue
+            hits.append(j)
+            ball = _mb(pts, order, i, boundary + (j,), tol, dim, balls, hits)
+            del order[i]
+            order.insert(0, j)
+            if ball is not None:
+                (c0, c1), r2 = ball
+                lim = r2 * (1.0 + tol)
         return ball
     for i in range(end):
         j = order[i]

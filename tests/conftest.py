@@ -116,6 +116,37 @@ class RecordingHandle:
         return getattr(self._inner, attr)
 
 
+def _generic_mb(pts, order, end, boundary, tol, dim, balls, hits):
+    """instances._mb with the containment test of every dimension: _dist2
+    against r^2 * (1 + tol), recomputed for each point."""
+    if boundary in balls:
+        ball = balls[boundary]
+    else:
+        ball = balls[boundary] = _ball_with_boundary([pts[j] for j in boundary], tol)
+    if len(boundary) == dim + 1:
+        return ball
+    for i in range(end):
+        j = order[i]
+        if ball is not None:
+            c, r2 = ball
+            if _dist2(pts[j], c) <= r2 * (1.0 + tol):
+                continue
+        hits.append(j)
+        ball = _generic_mb(pts, order, i, boundary + (j,), tol, dim, balls, hits)
+        del order[i]
+        order.insert(0, j)
+    return ball
+
+
+def generic_ball(space: SebSpace, subset: int):
+    """Oracle for SebSpace._ball: (ball, hits) of the generic move-to-front
+    loop on a fresh memo; the ball is None where the float range overflows."""
+    inst, hits = space.instance, []
+    order = elements(subset)
+    ball = _generic_mb(space._points, order, len(order), (), inst.tolerance, inst.dim, {}, hits)
+    return ball, hits
+
+
 def _index_order_mb(pts, sel, boundary, tol, dim):
     """The miniball recursion on a shrinking prefix, in plain index order."""
     ball = _ball_with_boundary([pts[j] for j in boundary], tol)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from vspace.algorithms import (
     SolverStall,
     WeightMap,
+    _swiss,
     default_safety_cap,
     german_algorithm,
     german_sample_size,
@@ -293,6 +294,25 @@ def test_german_inner_sa_asks_the_oracle_masks_on_roster(roster, key):
 def test_german_inner_sa_asks_the_oracle_masks_on_a_cloud():
     points = dict(_german_clouds())["planar200"]
     _assert_inner_sa_asks_like_the_oracle(lambda: SebSpace(make_seb(points)), range(10))
+
+
+def test_swiss_on_a_support_stays_in_it_and_matches_the_restriction():
+    # A support of 40 of 80 planar points is above 2d^2 = 18, so the swiss
+    # stage runs rounds: every sample, violator set and basis must lie in
+    # the support, and equal the run on the RestrictedSpace oracle.
+    space = SebSpace(generate("uniform-square", {"n": 80, "dim": 2}, 23))
+    d = resolve_dimension(space)
+    support = sum(1 << i for i in random.Random(23).sample(range(80), 40))
+    for seed in range(10):
+        res = _swiss(space, support, seed, 2.0)
+        want = swiss_algorithm(RestrictedSpace(space, support, dim_hint=d), seed)
+        assert res.trace.rounds and not res.trace.delegated
+        for rec, oracle in zip(res.trace.rounds, want.trace.rounds, strict=True):
+            assert rec.sample & ~support == 0 and rec.violators & ~support == 0
+            assert (rec.sample, rec.violators) == (expand(oracle.sample, support),
+                                                   expand(oracle.violators, support))
+        assert res.basis & ~support == 0
+        assert res.basis == expand(want.basis, support)
 
 
 SA_REAL_KEYS = ("f1", "interval12")

@@ -34,7 +34,13 @@ from vspace.instances import (
 from vspace.subsets import full_mask
 
 import conftest
-from conftest import RecordingHandle, RestrictedSpace, index_order_violators, plain_find_basis
+from conftest import (
+    RecordingHandle,
+    RestrictedSpace,
+    generic_ball,
+    index_order_violators,
+    plain_find_basis,
+)
 
 SEB8 = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "seb8.json"
 
@@ -282,6 +288,57 @@ def test_extreme_candidates_exact_on_degenerate_clouds(dim):
         _assert_narrowing_exact(space, subsets)
         sub = RestrictedSpace(space, rng.getrandbits(n) | 1)
         _assert_narrowing_exact(sub, [0, full_mask(sub.n)] + [rng.getrandbits(sub.n) for _ in range(10)])
+
+
+def _assert_kernel_bit_for_bit(space, subsets) -> int:
+    # The planar kernel must make the generic loop's float operations:
+    # the same center and r^2 to the last bit, and the same hits in order.
+    # Returns how many of the balls overflow the float range.
+    def bits(ball):
+        return None if ball is None else ([x.hex() for x in ball[0]], ball[1].hex())
+
+    overflowed = 0
+    for g in subsets:
+        want, want_hits = generic_ball(space, g)
+        hits = []
+        try:
+            got = space._ball(g, hits)
+        except ValueError:
+            got = None
+        assert bits(got) == bits(want), hex(g)
+        assert hits == want_hits, hex(g)
+        overflowed += want is None
+    return overflowed
+
+
+def test_planar_kernel_bit_for_bit_on_every_subset_of_degenerate_clouds():
+    for pts in _clouds(2, 102):
+        space = SebSpace(make_seb(pts))
+        _assert_kernel_bit_for_bit(space, range(1, 1 << space.n))
+
+
+def test_planar_kernel_bit_for_bit_on_a_large_cloud():
+    space = SebSpace(generate("uniform-square", {"n": 400, "dim": 2}, 17))
+    rng = random.Random(17)
+    sizes = [16] * 40 + [50] * 40 + [200] * 10
+    subsets = [sum(1 << i for i in rng.sample(range(400), k)) for k in sizes]
+    _assert_kernel_bit_for_bit(space, subsets + [full_mask(400)])
+
+
+def test_planar_kernel_bit_for_bit_near_the_overflow_edge():
+    # Coordinates in [-1e154, 1e154]: some squared distances overflow, so
+    # some balls do (593 of the 1023 subsets) and most others come close.
+    pts = (np.random.default_rng(19).random((10, 2)) * 2.0 - 1.0) * 1e154
+    space = SebSpace(make_seb(pts))
+    assert 0 < _assert_kernel_bit_for_bit(space, range(1, 1 << space.n)) < 1023
+
+
+def test_planar_kernel_bit_for_bit_near_the_underflow_edge():
+    # Coordinates about 1e-155: squared distances are subnormal or round
+    # to zero, so the test must add nothing to r^2 * (1 + tol).
+    pts = np.random.default_rng(29).random((10, 2)) * 1e-155
+    space = SebSpace(make_seb(np.concatenate([pts, pts[:2]])))
+    assert _assert_kernel_bit_for_bit(space, range(1, 1 << space.n)) == 0
 
 
 def _count_calls(monkeypatch, module, name):
