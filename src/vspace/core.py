@@ -14,13 +14,15 @@ Bases and the dimension are read off the extreme elements X(G), those
 whose removal changes V(G): under the axioms B is a basis iff X(B) == B.
 
 Subsets are bitmasks (see subsets.py). All operations here are exact
-integer arithmetic.
+integer arithmetic; the table pass holds masks below 2^20 in int64.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .subsets import (
     elements,
@@ -380,12 +382,35 @@ def anti_basis(space: ViolatorSpace, subset: int) -> int:
     return space.ground & ~space.violators(subset)
 
 
+def subset_counts(space: ViolatorSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|R|, |V(R)| and |X(R)| of every subset R, as int64 arrays indexed by mask.
+
+    One pass over violator_table(), with no oracle call beyond the
+    table's: step i pairs every R holding element i with R minus i, and
+    counts i as extreme where their entries differ. That is the test
+    extreme_elements makes, so the counts equal its masks' on any
+    handle; the pass needs neither the axioms nor nondegeneracy. Callers
+    bound n, so every mask fits int64 exactly.
+    """
+    n = space.n
+    table = np.array(space.violator_table(), dtype=np.int64)
+    extreme = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        # Row [:, 0] lacks element i and row [:, 1] is the same sets with it.
+        pairs = table.reshape(-1, 2, 1 << i)
+        extreme.reshape(-1, 2, 1 << i)[:, 1] += pairs[:, 1] != pairs[:, 0]
+    size = np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
+    return size, np.bitwise_count(table).astype(np.int64), extreme
+
+
 def combinatorial_dimension(space: ViolatorSpace) -> int:
-    """Size of the largest basis, by is_basis on all 2^n subsets (assumes the axioms)."""
+    """Size of the largest basis, assuming the axioms: the largest |R|
+    with X(R) == R (is_basis), read off one subset_counts pass."""
     n = space.n
     if n > DIMENSION_LIMIT:
         raise ValueError(f"dimension computation refused: n={n} exceeds {DIMENSION_LIMIT}")
-    return max(g.bit_count() for g in range(1 << n) if is_basis(space, g))
+    size, _, extreme = subset_counts(space)
+    return int(size[extreme == size].max())
 
 
 def _fibers(space: ViolatorSpace, what: str):

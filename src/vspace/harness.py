@@ -1,7 +1,8 @@
 """Exact sampling statistics and seeded benchmark experiments.
 
-The statistics side enumerates every r-subset and keeps exact rationals,
-so the sampling identity can be asserted with zero tolerance. The
+The statistics side reads |V(R)| and |X(R)| of every subset R from one
+exact pass over the violator table (core.subset_counts) and keeps exact
+rationals, so the sampling identity can be asserted with zero tolerance. The
 experiment side drives the solvers across seeded trials and compares
 measured quantities against their analytic bounds; expectation bounds
 get a 5 percent slack, probability bounds a three-sigma binomial slack,
@@ -23,14 +24,13 @@ from .core import (
     check_axioms,
     composite_rounds,
     composite_space,
-    extreme_elements,
     combinatorial_dimension,
     is_nondegenerate,
     resolve_dimension,
+    subset_counts,
 )
 from .instances import _write_json, tabulate
 from .seeding import spawn
-from .subsets import full_mask, iter_size_k_submasks
 
 SAMPLING_STATS_LIMIT = 14
 COMPOSITE_LIMIT = 8
@@ -90,19 +90,31 @@ class BoundParams:
 
 
 def exact_sampling_stats(space: ViolatorSpace, r: int) -> SamplingStats:
-    """Full enumeration of the C(n, r) subsets; exact rationals, no floats."""
+    """E|V(R)|, E|X(R)| and max |X(R)| over all C(n, r) subsets R of size r.
+
+    Exact rationals, no floats, from one subset_counts pass; X(R) is the
+    mask extreme_elements gives, on any handle. Refuses n above
+    SAMPLING_STATS_LIMIT and r outside [0, n].
+    """
     n = space.n
-    if n > SAMPLING_STATS_LIMIT:
-        raise ValueError(f"exact stats refused: n={n} exceeds {SAMPLING_STATS_LIMIT}")
+    _refuse_large(n)
     if not 0 <= r <= n:
         raise ValueError(f"subset size {r} outside [0, {n}]")
-    total_v = 0
-    xs = []
-    for mask in iter_size_k_submasks(full_mask(n), r):
-        total_v += space.violators(mask).bit_count()
-        xs.append(extreme_elements(space, mask).bit_count())
+    return _stats_at(n, r, subset_counts(space))
+
+
+def _refuse_large(n: int) -> None:
+    if n > SAMPLING_STATS_LIMIT:
+        raise ValueError(f"exact stats refused: n={n} exceeds {SAMPLING_STATS_LIMIT}")
+
+
+def _stats_at(n: int, r: int, counts) -> SamplingStats:
+    """The SamplingStats of size r, from the arrays of subset_counts."""
+    size, violated, extreme = counts
+    at_r = size == r
     count = math.comb(n, r)
-    return SamplingStats(r, Fraction(total_v, count), Fraction(sum(xs), count), max(xs))
+    return SamplingStats(r, Fraction(int(violated[at_r].sum()), count),
+                         Fraction(int(extreme[at_r].sum()), count), int(extreme[at_r].max()))
 
 
 @dataclass(frozen=True)
@@ -142,12 +154,15 @@ def verify_sampling_lemma(space: ViolatorSpace, d: int | None = None) -> Samplin
 
     The identity is exact (zero tolerance). The corollary bound
     v_r <= d (n-r)/(r+1) and the per-subset bound |X(R)| <= d use the
-    exact combinatorial dimension unless one is supplied.
+    exact combinatorial dimension unless one is supplied. The statistics
+    of every r come from one subset_counts pass.
     """
     n = space.n
     if d is None:
         d = combinatorial_dimension(space)
-    stats = [exact_sampling_stats(space, r) for r in range(n + 1)]
+    _refuse_large(n)
+    counts = subset_counts(space)
+    stats = [_stats_at(n, r, counts) for r in range(n + 1)]
     rows = []
     for r in range(n):
         v = stats[r].v

@@ -59,6 +59,9 @@ class ExplicitSpace(ViolatorSpace):
     def violators(self, subset: int) -> int:
         return self.table[subset]
 
+    def violator_table(self) -> list[int]:
+        return list(self.table)
+
     def certify(self):
         """Run the axiom checker, record and return its report."""
         self.axiom_report = check_axioms(self)
@@ -396,8 +399,9 @@ class SebSpace(ViolatorSpace):
         self.instance = instance
         self.n = instance.n
         self.dim_hint = instance.dim + 1
-        # Plain tuples keep the recursion out of numpy's per-call overhead.
-        self._points = [tuple(map(float, row)) for row in instance.points]
+        # Plain tuples keep the recursion out of numpy's per-call overhead;
+        # tolist() gives the float() of every entry, bit for bit.
+        self._points = [tuple(row) for row in instance.points.tolist()]
         # Boundary balls keyed by the ordered tuple of their point indices.
         # The solvers ask for V(G) and V(G minus x) for every x in G; those
         # recursions share every prefix before x, so most boundary balls

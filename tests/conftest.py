@@ -1,9 +1,11 @@
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vspace.core import ViolatorSpace
+from vspace.core import FuncSpace, ViolatorSpace, check_axioms, extreme_elements, is_basis
 from vspace.fixtures import (
     empty_violators_space,
     f1_space,
@@ -11,10 +13,12 @@ from vspace.fixtures import (
     interval_space,
     singleton_pattern_space,
 )
+from vspace.harness import SamplingStats
 from vspace.hypercube import partition_to_space, random_partition
-from vspace.instances import SebSpace, _ball_with_boundary, _dist2, generate, tabulate
+from vspace.instances import (ExplicitSpace, SebSpace, _ball_with_boundary, _dist2, generate,
+                              make_seb, tabulate)
 from vspace.seeding import spawn
-from vspace.subsets import elements, full_mask, iter_by_size_then_value
+from vspace.subsets import elements, full_mask, iter_by_size_then_value, iter_size_k_submasks
 
 FIXTURE_SEED = 20260817
 
@@ -45,6 +49,43 @@ def plain_find_basis(space, subset):
         if space.violators(b) & subset == 0:
             return b
     raise ValueError(f"no basis below {subset:#x}")
+
+
+def dimension_by_is_basis(space):
+    """Oracle for combinatorial_dimension: the largest subset that is_basis
+    accepts, by a leave-one-out pass of oracle calls on every subset."""
+    return max(g.bit_count() for g in range(1 << space.n) if is_basis(space, g))
+
+
+def sampling_stats_by_enumeration(space, r):
+    """Oracle for exact_sampling_stats: V and extreme_elements of every
+    r-subset, one by one."""
+    n = space.n
+    total_v = 0
+    xs = []
+    for mask in iter_size_k_submasks(full_mask(n), r):
+        total_v += space.violators(mask).bit_count()
+        xs.append(extreme_elements(space, mask).bit_count())
+    count = math.comb(n, r)
+    return SamplingStats(r, Fraction(total_v, count), Fraction(sum(xs), count), max(xs))
+
+
+def table_pass_cases(roster) -> list:
+    """The handles the table pass is checked on against the loops: the
+    roster; the random tables at n = 1..8, one with arbitrary and one with
+    consistent entries per n, that fail check_axioms; a degenerate planar
+    cloud, live and tabulated (the 3 x 3 integer grid, whose corners and
+    edge midpoints are cocircular, and a second copy of one corner); and
+    n = 0 as a table and as a FuncSpace."""
+    rng = random.Random(spawn(FIXTURE_SEED, 2))
+    tables = []
+    for n in range(1, 9):
+        arbitrary = [rng.getrandbits(n) for _ in range(1 << n)]
+        tables += [ExplicitSpace(n, arbitrary),
+                   ExplicitSpace(n, [v & ~g for g, v in enumerate(arbitrary)])]
+    cloud = SebSpace(make_seb([(x, y) for x in range(3) for y in range(3)] + [(0, 0)]))
+    return [*roster.values(), *(space for space in tables if not check_axioms(space).ok),
+            cloud, tabulate(cloud), ExplicitSpace(0, [0]), FuncSpace(0, lambda g: 0)]
 
 
 def compress(mask: int, support: int) -> int:

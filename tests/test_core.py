@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vspace.algorithms import german_algorithm, swiss_algorithm
 from vspace.core import (
+    DIMENSION_LIMIT,
     BudgetExceeded,
     FuncSpace,
     ViolatorSpace,
@@ -22,12 +23,21 @@ from vspace.core import (
     is_basis,
     is_nondegenerate,
     resolve_dimension,
+    subset_counts,
 )
 from vspace.hypercube import enumerate_partitions, partition_to_space, random_partition
-from vspace.instances import ExplicitSpace, tabulate
+from vspace.instances import ExplicitSpace, SebSpace, generate, tabulate
 from vspace.subsets import full_mask, iter_submasks
 
-from conftest import ROSTER_KEYS, RestrictedSpace, compress, expand, plain_find_basis
+from conftest import (
+    ROSTER_KEYS,
+    RestrictedSpace,
+    compress,
+    dimension_by_is_basis,
+    expand,
+    plain_find_basis,
+    table_pass_cases,
+)
 
 
 @pytest.mark.parametrize("key", ROSTER_KEYS)
@@ -246,6 +256,45 @@ def test_dimension_frozen(roster, key):
 @pytest.mark.parametrize("key", ROSTER_KEYS)
 def test_nondegeneracy_frozen(roster, key):
     assert is_nondegenerate(roster[key]) == NONDEGENERATE[key]
+
+
+def test_subset_counts_match_extreme_elements(roster):
+    # Every |X(R)| of the table pass against the leave-one-out probes, on
+    # handles with and without the axioms, and on a point-set handle whose
+    # extreme_candidates narrow the probes.
+    for space in table_pass_cases(roster):
+        size, violated, extreme = subset_counts(space)
+        for g in range(1 << space.n):
+            assert size[g] == g.bit_count()
+            assert violated[g] == space.violators(g).bit_count()
+            assert extreme[g] == extreme_elements(space, g).bit_count(), (space.n, g)
+
+
+def test_dimension_matches_the_is_basis_loop(roster):
+    sixteen = tabulate(SebSpace(generate("uniform-square", {"n": 16, "dim": 2}, 5)), certify=False)
+    assert sixteen.n == DIMENSION_LIMIT
+    for space in [*table_pass_cases(roster), sixteen]:
+        assert combinatorial_dimension(space) == dimension_by_is_basis(space), space.n
+
+
+def test_dimension_asks_each_subset_once():
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return full_mask(8) & ~g
+
+    assert combinatorial_dimension(FuncSpace(8, counted)) == 8
+    assert calls == list(range(1 << 8))
+
+
+def test_dimension_refuses_above_the_limit():
+    calls = []
+    space = FuncSpace(DIMENSION_LIMIT + 1, calls.append)
+    with pytest.raises(ValueError, match=f"^dimension computation refused: "
+                                         f"n={DIMENSION_LIMIT + 1} exceeds {DIMENSION_LIMIT}$"):
+        combinatorial_dimension(space)
+    assert calls == []
 
 
 def test_f2_has_two_minimal_bases(roster):

@@ -20,8 +20,10 @@ from vspace.harness import (
     write_report,
     write_trace_csv,
 )
-from vspace.core import FuncSpace
+from vspace.core import DIMENSION_LIMIT, FuncSpace
 from vspace.instances import ExplicitSpace
+
+from conftest import sampling_stats_by_enumeration, table_pass_cases
 
 
 def test_exact_stats_frozen_f1(roster):
@@ -40,13 +42,34 @@ def test_extreme_bound_reads_the_largest_extreme_count(roster):
     assert not verify_sampling_lemma(space, d=2).extreme_bound_ok
 
 
+def test_exact_stats_match_the_enumeration(roster):
+    for space in table_pass_cases(roster):
+        want = [sampling_stats_by_enumeration(space, r) for r in range(space.n + 1)]
+        assert [exact_sampling_stats(space, r) for r in range(space.n + 1)] == want
+        report = verify_sampling_lemma(space, d=3)
+        assert [(row.v, row.x_next) for row in report.rows] == \
+            [(want[r].v, want[r + 1].x) for r in range(space.n)]
+        assert report.extreme_bound_ok == all(stats.x_max <= 3 for stats in want)
+
+
 def test_exact_stats_refusals():
-    big = FuncSpace(SAMPLING_STATS_LIMIT + 1, lambda g: 0, dim_hint=0)
-    with pytest.raises(ValueError, match="refused"):
+    # Every refusal comes before the first oracle call.
+    def ask(g):
+        raise AssertionError(f"oracle asked for {g:#x}")
+
+    over = f"^exact stats refused: n={SAMPLING_STATS_LIMIT + 1} exceeds {SAMPLING_STATS_LIMIT}$"
+    big = FuncSpace(SAMPLING_STATS_LIMIT + 1, ask)
+    with pytest.raises(ValueError, match=over):
         exact_sampling_stats(big, 0)
-    small = ExplicitSpace(2, [0, 0, 0, 0])
-    with pytest.raises(ValueError, match="outside"):
-        exact_sampling_stats(small, 3)
+    with pytest.raises(ValueError, match=over):
+        verify_sampling_lemma(big, d=1)
+    huge = FuncSpace(DIMENSION_LIMIT + 1, ask)
+    with pytest.raises(ValueError, match="^dimension computation refused"):
+        verify_sampling_lemma(huge)
+    small = FuncSpace(3, ask)
+    for r in (-1, 4):
+        with pytest.raises(ValueError, match=f"^subset size {r} outside \\[0, 3\\]$"):
+            exact_sampling_stats(small, r)
 
 
 @pytest.mark.parametrize("key", ["f1", "f2", "seb8", "empty6", "singleton5",

@@ -621,3 +621,26 @@ def test_explicit_space_certify_flow():
     assert not space.certified
     report = space.certify()
     assert space.certified and report.ok and space.axiom_report is report
+
+
+def test_explicit_violator_table_is_a_copy_of_the_loop(roster):
+    for space in [*roster.values(), ExplicitSpace(0, [0])]:
+        table = space.violator_table()
+        assert table == ViolatorSpace.violator_table(space)
+        table[0] ^= 1
+        assert space.table[0] != table[0]
+
+
+def test_seb_point_tuples_are_the_float_of_every_entry():
+    # The handle's tuples must hold the floats map(float, row) gives, to
+    # the last bit, signed zeros and subnormals included.
+    rng = np.random.default_rng(11)
+    pts = rng.standard_normal((1024, 2)) * 10.0 ** rng.integers(-300, 300, (1024, 2))
+    big = np.finfo(float).max
+    pts[:4] = [(-0.0, 0.0), (5e-324, -5e-324), (big, -big), (np.finfo(float).tiny, 1.0)]
+    for points in (pts, pts.reshape(-1, 4)[:, :3]):
+        space = SebSpace(make_seb(points))
+        want = [tuple(map(float, row)) for row in space.instance.points]
+        assert all(type(x) is float for p in space._points for x in p)
+        assert [[x.hex() for x in p] for p in space._points] == \
+            [[x.hex() for x in p] for p in want]
