@@ -391,8 +391,14 @@ class SebSpace(ViolatorSpace):
     most d+1 points). Each evaluation starts from index order and moves
     each point that sets off a recursion to the front, so a ball is a
     deterministic function of the subset. Each violators() call keeps
-    what its recursion found, so extreme_candidates() right after it
-    costs no second one.
+    what its recursion found, so extreme_candidates() right after it, or
+    the same violators() call again, costs no second one.
+
+    Two memos answer from what the handle has already computed: the
+    boundary balls of the recursion, and the outside mask of every ball it
+    has scanned. Both are emptied together, when the ball memo outgrows
+    BALL_CACHE_LIMIT entries. A ball and its mask are functions of their
+    keys alone, so every answer is bit-identical to a fresh handle's.
     """
 
     def __init__(self, instance: SebInstance):
@@ -405,8 +411,12 @@ class SebSpace(ViolatorSpace):
         # Boundary balls keyed by the ordered tuple of their point indices.
         # The solvers ask for V(G) and V(G minus x) for every x in G; those
         # recursions share every prefix before x, so most boundary balls
-        # repeat. Emptied when it outgrows BALL_CACHE_LIMIT entries.
+        # repeat. Outside masks keyed by the (center, r^2) ball they were
+        # scanned from: a leave-one-out probe mostly ends on a ball met
+        # before. _recurse empties both when _balls outgrows BALL_CACHE_LIMIT
+        # entries, so that one limit bounds both.
         self._balls: dict = {}
+        self._masks: dict = {}
         self._last = (None, 0, [])
 
     def _ball(self, subset: int, hits: list[int]):
@@ -420,30 +430,37 @@ class SebSpace(ViolatorSpace):
 
     def _recurse(self, order: list[int], end: int, boundary: tuple[int, ...], hits: list[int]):
         """The one place the recursion runs: _mb on the ball memo, emptied
-        first when it has outgrown BALL_CACHE_LIMIT entries."""
+        first, with the mask memo, when it has outgrown BALL_CACHE_LIMIT
+        entries."""
         if len(self._balls) > BALL_CACHE_LIMIT:
-            self._balls = {}
+            self._balls, self._masks = {}, {}
         inst = self.instance
         return _finite(_mb(self._points, order, end, boundary, inst.tolerance, inst.dim,
                            self._balls, hits))
 
     def _outside(self, ball) -> int:
-        """Mask of every point outside `ball`, members of its subset included."""
-        center, r2 = ball
-        inst = self.instance
-        d2 = ((inst.points - np.asarray(center)) ** 2).sum(axis=1)
-        bits = np.packbits(d2 > r2 * (1.0 + inst.tolerance), bitorder="little")
-        return int.from_bytes(bits.tobytes(), "little")
+        """Mask of every point outside `ball`, members of its subset included;
+        a ball already in the mask memo is not scanned again."""
+        mask = self._masks.get(ball)
+        if mask is None:
+            center, r2 = ball
+            inst = self.instance
+            d2 = ((inst.points - np.asarray(center)) ** 2).sum(axis=1)
+            bits = np.packbits(d2 > r2 * (1.0 + inst.tolerance), bitorder="little")
+            mask = self._masks[ball] = int.from_bytes(bits.tobytes(), "little")
+        return mask
 
     def violators(self, subset: int) -> int:
         """Every point outside the smallest ball enclosing `subset`, members
         left out; the empty set is unconstrained, so every point is outside it.
+        Asking for the subset of the last call again reuses its answer.
         """
-        outside, hits = full_mask(self.n), []
-        if subset:
-            outside = self._outside(self._ball(subset, hits))
-        self._last = (subset, outside, hits)
-        return outside & ~subset
+        if self._last[0] != subset:
+            outside, hits = full_mask(self.n), []
+            if subset:
+                outside = self._outside(self._ball(subset, hits))
+            self._last = (subset, outside, hits)
+        return self._last[1] & ~subset
 
     def violator_table(self) -> list[int]:
         """V of every subset G, each grown from G minus its largest index k.
@@ -455,11 +472,10 @@ class SebSpace(ViolatorSpace):
         step finishes G: the same float operations on the same boundary
         tuples as violators(G), so the same entry, whatever the points. A
         depth-first walk keeps that state for each subset it extends; the
-        outside mask is computed once per distinct ball.
+        outside masks come from the handle's mask memo.
         """
         pts, tol = self._points, self.instance.tolerance
         table = [full_mask(self.n)] * (1 << self.n)   # the walk fills all but V(empty set)
-        outside = {}
         stack = [(0, [], None)]   # (subset, order list, ball) after its scan
         while stack:
             subset, order, ball = stack.pop()
@@ -469,9 +485,7 @@ class SebSpace(ViolatorSpace):
                     grown_ball = self._recurse(grown_order, len(order), (k,), [])
                     del grown_order[len(order)]
                     grown_order.insert(0, k)
-                if grown_ball not in outside:
-                    outside[grown_ball] = self._outside(grown_ball)
-                table[grown] = outside[grown_ball] & ~grown
+                table[grown] = self._outside(grown_ball) & ~grown
                 stack.append((grown, grown_order, grown_ball))
         return table
 
@@ -483,8 +497,7 @@ class SebSpace(ViolatorSpace):
         operations on the same boundary tuples and returns a bit-identical
         ball: V(subset minus s) == V(subset), whatever the points.
         """
-        if self._last[0] != subset:
-            self.violators(subset)
+        self.violators(subset)
         _, outside, hits = self._last
         candidates = outside & subset
         for j in hits:

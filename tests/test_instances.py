@@ -243,6 +243,92 @@ def test_ball_memo_matches_cold_recursion(monkeypatch, limit):
         assert warm.extreme_candidates(sub) == fresh.extreme_candidates(sub)
 
 
+def _memo_clouds():
+    rng = np.random.default_rng(23)
+    planar = rng.random((20, 2))
+    return {"planar": planar, "3d": rng.random((16, 3)),
+            "dupes": np.concatenate([planar[:10], planar[:10]])}
+
+
+def _memo_sequence(n: int, rng: random.Random) -> list[int]:
+    """Masks as basis search asks them, and more: the empty set, G twice in
+    a row, the leave-one-out probes of G (most end on a ball met before), G
+    again after them, then G plus each point outside it."""
+    seq = [0]
+    for _ in range(3):
+        g = rng.getrandbits(n) | 1
+        seq += [g, g] + [g & ~(1 << i) for i in range(n) if g >> i & 1] + [g]
+        seq += [g | 1 << i for i in range(n) if not g >> i & 1]
+    return seq
+
+
+@pytest.mark.parametrize("cloud", ["planar", "3d", "dupes"])
+@pytest.mark.parametrize("limit", [4, 1 << 10])
+def test_warm_handle_answers_as_fresh_handles(monkeypatch, limit, cloud):
+    # The mask memo and the repeated-call shortcut must not change an
+    # answer: one warm handle gives, call by call, what a fresh handle per
+    # call gives. Every other step asks for the candidates first, so a
+    # stale last call would show; limit 4 empties both memos on the way.
+    monkeypatch.setattr(instances, "BALL_CACHE_LIMIT", limit)
+    inst = make_seb(_memo_clouds()[cloud])
+    warm = SebSpace(inst)
+    for step, g in enumerate(_memo_sequence(inst.n, random.Random(limit))):
+        if step % 2:
+            assert warm.extreme_candidates(g) == SebSpace(inst).extreme_candidates(g), hex(g)
+        assert warm.violators(g) == SebSpace(inst).violators(g), hex(g)
+        assert warm.extreme_candidates(g) == SebSpace(inst).extreme_candidates(g), hex(g)
+
+
+def test_a_repeated_violators_call_makes_no_recursion(monkeypatch):
+    nodes = _count_calls(monkeypatch, instances, "_mb")
+    space = SebSpace(generate("uniform-square", {"n": 400, "dim": 2}, 3))
+    g = sum(1 << i for i in random.Random(3).sample(range(400), 50))
+    v = space.violators(g)
+    x = space.extreme_candidates(g)
+    assert nodes[0] > 0
+    nodes[0] = 0
+    assert space.violators(g) == v
+    assert space.extreme_candidates(g) == x
+    assert space.violators(g) == v
+    assert nodes[0] == 0
+
+
+def test_a_ball_met_before_is_scanned_once(monkeypatch):
+    # Most leave-one-out probes of a 50-point G end on G's own ball or on
+    # another ball met before: each distinct ball is scanned once.
+    real, scans = np.packbits, [0]
+
+    def counting(*args, **kwargs):
+        scans[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "packbits", counting)
+    space = SebSpace(generate("uniform-square", {"n": 200, "dim": 2}, 31))
+    g = sum(1 << i for i in random.Random(31).sample(range(200), 50))
+    balls = set()
+    for s in [0] + [1 << i for i in range(200) if g >> i & 1]:
+        space.violators(g ^ s)
+        balls.add(space._ball(g ^ s, []))
+    assert scans[0] == len(balls) == len(space._masks) < 10
+
+
+def test_mask_memo_is_emptied_with_the_ball_memo(monkeypatch):
+    monkeypatch.setattr(instances, "BALL_CACHE_LIMIT", 4)
+    space = SebSpace(make_seb(_memo_clouds()["dupes"]))
+    resets = 0
+    for g in _memo_sequence(space.n, random.Random(5)):
+        balls, masks = space._balls, space._masks
+        space.violators(g)
+        assert (space._balls is balls) == (space._masks is masks), hex(g)
+        assert set(space._masks) <= set(space._balls.values()), hex(g)
+        resets += space._balls is not balls
+    assert resets > 0
+    small = SebSpace(make_seb(_memo_clouds()["planar"][:10]))
+    masks = small._masks
+    small.violator_table()
+    assert small._masks is not masks
+
+
 def _assert_narrowing_exact(space, subsets):
     # The generic handle has no extreme_candidates, so it probes every
     # element: the narrowed pass must give the very same masks, and the
