@@ -214,7 +214,7 @@ def _solve_linear(a, b):
     """Gaussian elimination with partial pivoting; None when singular."""
     k = len(b)
     m = [list(a[i]) + [b[i]] for i in range(k)]
-    scale = max((abs(v) for row in a for v in row), default=0.0)
+    scale = max(map(abs, itertools.chain.from_iterable(a)), default=0.0)
     floor = scale * 1e-12
     for col in range(k):
         piv, best = col, abs(m[col][col])
@@ -246,14 +246,23 @@ def _circumsphere(bpts):
 
     Returns (center, radius^2) or None when the points are affinely
     dependent and the system is singular.
+
+    Each Gram entry is computed once: the diagonal is 2 * rhs, and an entry
+    below it mirrors the one above. Both are bit for bit the full
+    matrix's, because IEEE products commute, every dot product keeps its
+    index order, and the only NaNs that can arise are default NaNs.
     """
     b0 = bpts[0]
     if len(bpts) == 1:
         return b0, 0.0
     diffs = [tuple(x - y for x, y in zip(p, b0)) for p in bpts[1:]]
     k = len(diffs)
-    gram = [[2.0 * _dot(diffs[i], diffs[j]) for j in range(k)] for i in range(k)]
     rhs = [_dot(d, d) for d in diffs]
+    gram = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        gram[i][i] = 2.0 * rhs[i]
+        for j in range(i + 1, k):
+            gram[i][j] = gram[j][i] = 2.0 * _dot(diffs[i], diffs[j])
     lam = _solve_linear(gram, rhs)
     if lam is None:
         return None
@@ -408,6 +417,9 @@ class SebSpace(ViolatorSpace):
         # Plain tuples keep the recursion out of numpy's per-call overhead;
         # tolist() gives the float() of every entry, bit for bit.
         self._points = [tuple(row) for row in instance.points.tolist()]
+        # Dims 1 and 2 scan one contiguous array per coordinate (_outside).
+        self._columns = ([np.ascontiguousarray(col) for col in instance.points.T]
+                         if 1 <= instance.dim <= 2 else [])
         # Boundary balls keyed by the ordered tuple of their point indices.
         # The solvers ask for V(G) and V(G minus x) for every x in G; those
         # recursions share every prefix before x, so most boundary balls
@@ -440,12 +452,25 @@ class SebSpace(ViolatorSpace):
 
     def _outside(self, ball) -> int:
         """Mask of every point outside `ball`, members of its subset included;
-        a ball already in the mask memo is not scanned again."""
+        a ball already in the mask memo is not scanned again.
+
+        Dims 1 and 2 add the squared coordinate differences column by
+        column, which skips numpy's slow reduce over a short axis. A sum
+        of at most two terms is the same in either order, so the mask is
+        bit for bit the row sum's. With three or more terms the order is
+        numpy's choice (pairwise from 8 columns on, numpy 2.4), so dims 3
+        and up keep the row sum, as does dim 0, which has no column.
+        """
         mask = self._masks.get(ball)
         if mask is None:
             center, r2 = ball
             inst = self.instance
-            d2 = ((inst.points - np.asarray(center)) ** 2).sum(axis=1)
+            if self._columns:
+                d2 = (self._columns[0] - center[0]) ** 2
+                for col, c in zip(self._columns[1:], center[1:]):
+                    d2 += (col - c) ** 2
+            else:
+                d2 = ((inst.points - np.asarray(center)) ** 2).sum(axis=1)
             bits = np.packbits(d2 > r2 * (1.0 + inst.tolerance), bitorder="little")
             mask = self._masks[ball] = int.from_bytes(bits.tobytes(), "little")
         return mask

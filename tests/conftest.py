@@ -15,8 +15,8 @@ from vspace.fixtures import (
 )
 from vspace.harness import SamplingStats
 from vspace.hypercube import partition_to_space, random_partition
-from vspace.instances import (ExplicitSpace, SebSpace, _ball_with_boundary, _dist2, generate,
-                              make_seb, tabulate)
+from vspace.instances import (ExplicitSpace, SebSpace, _ball_with_boundary, _dist2, _dot,
+                              generate, make_seb, tabulate)
 from vspace.seeding import spawn
 from vspace.subsets import elements, full_mask, iter_by_size_then_value, iter_size_k_submasks
 
@@ -188,6 +188,71 @@ def generic_ball(space: SebSpace, subset: int):
     return ball, hits
 
 
+def full_gram_solve_linear(a, b):
+    """Oracle for instances._solve_linear: the same elimination, with the
+    pivot scale taken by a generator over the rows."""
+    k = len(b)
+    m = [list(a[i]) + [b[i]] for i in range(k)]
+    scale = max((abs(v) for row in a for v in row), default=0.0)
+    floor = scale * 1e-12
+    for col in range(k):
+        piv, best = col, abs(m[col][col])
+        for row in range(col + 1, k):
+            v = abs(m[row][col])
+            if v > best:
+                piv, best = row, v
+        if best <= floor:
+            return None
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+        inv = 1.0 / m[col][col]
+        for row in range(col + 1, k):
+            f = m[row][col] * inv
+            if f:
+                for j in range(col, k + 1):
+                    m[row][j] -= f * m[col][j]
+    out = [0.0] * k
+    for col in range(k - 1, -1, -1):
+        s = m[col][k]
+        for j in range(col + 1, k):
+            s -= m[col][j] * out[j]
+        out[col] = s / m[col][col]
+    return out
+
+
+def full_gram_circumsphere(bpts):
+    """Oracle for instances._circumsphere: every Gram entry computed on its
+    own, 2 * dot(d_i, d_j) for each i and j, and solved by
+    full_gram_solve_linear."""
+    b0 = bpts[0]
+    if len(bpts) == 1:
+        return b0, 0.0
+    diffs = [tuple(x - y for x, y in zip(p, b0)) for p in bpts[1:]]
+    k = len(diffs)
+    gram = [[2.0 * _dot(diffs[i], diffs[j]) for j in range(k)] for i in range(k)]
+    rhs = [_dot(d, d) for d in diffs]
+    lam = full_gram_solve_linear(gram, rhs)
+    if lam is None:
+        return None
+    center = list(b0)
+    for li, dvec in zip(lam, diffs):
+        for t, dt in enumerate(dvec):
+            center[t] += li * dt
+    r2 = _dist2(center, b0)
+    if not math.isfinite(r2) or not all(map(math.isfinite, center)):
+        return None
+    return tuple(center), r2
+
+
+def row_sum_outside(space: SebSpace, ball) -> int:
+    """Oracle for SebSpace._outside: the mask of the points whose row sum
+    of squared coordinate differences exceeds r^2 * (1 + tol)."""
+    center, r2 = ball
+    inst = space.instance
+    d2 = ((inst.points - np.asarray(center)) ** 2).sum(axis=1)
+    return sum(1 << int(i) for i in np.flatnonzero(d2 > r2 * (1.0 + inst.tolerance)))
+
+
 def _index_order_mb(pts, sel, boundary, tol, dim):
     """The miniball recursion on a shrinking prefix, in plain index order."""
     ball = _ball_with_boundary([pts[j] for j in boundary], tol)
@@ -208,10 +273,8 @@ def index_order_violators(space: SebSpace, subset: int) -> int:
     inst = space.instance
     if not subset:
         return full_mask(space.n)
-    center, r2 = _index_order_mb(space._points, elements(subset), (), inst.tolerance, inst.dim)
-    d2 = ((inst.points - np.asarray(center)) ** 2).sum(axis=1)
-    outside = sum(1 << int(i) for i in np.flatnonzero(d2 > r2 * (1.0 + inst.tolerance)))
-    return outside & ~subset
+    ball = _index_order_mb(space._points, elements(subset), (), inst.tolerance, inst.dim)
+    return row_sum_outside(space, ball) & ~subset
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vspace import core, instances
+from vspace import algorithms, core, instances
 from vspace.core import (
     FuncSpace,
     ViolatorSpace,
@@ -37,9 +37,12 @@ import conftest
 from conftest import (
     RecordingHandle,
     RestrictedSpace,
+    full_gram_circumsphere,
+    full_gram_solve_linear,
     generic_ball,
     index_order_violators,
     plain_find_basis,
+    row_sum_outside,
 )
 
 SEB8 = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "seb8.json"
@@ -425,6 +428,114 @@ def test_planar_kernel_bit_for_bit_near_the_underflow_edge():
     pts = np.random.default_rng(29).random((10, 2)) * 1e-155
     space = SebSpace(make_seb(np.concatenate([pts, pts[:2]])))
     assert _assert_kernel_bit_for_bit(space, range(1, 1 << space.n)) == 0
+
+
+EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-155, 1.0, -0.5, 1e154, -1e154, 1e308, -1e308)
+
+
+def _boundary_sets(dim: int, k: int, rng: np.random.Generator):
+    """k-point boundary sets in R^dim: random, with duplicates, on a line,
+    in a plane, and with coordinates drawn from EXTREMES."""
+    for _ in range(150):
+        yield rng.random((k, dim))
+        yield rng.standard_normal((k, dim)) * 10.0 ** rng.integers(-8, 9)
+        yield rng.random((k, dim))[rng.integers(0, max(1, k - 1), k)]
+        base, u, v = rng.random((3, dim))
+        s, t = rng.integers(-3, 4, (2, k))
+        yield base + s[:, None] * u
+        yield base + s[:, None] * u + t[:, None] * v
+        yield rng.choice(EXTREMES, (k, dim))
+        yield np.where(rng.random((k, dim)) < 0.5, rng.choice(EXTREMES, (k, dim)),
+                       rng.random((k, dim)))
+
+
+def _hex(value):
+    # float.hex of every float in a nested result; None stays None.
+    if isinstance(value, float):
+        return value.hex()
+    if value is None:
+        return None
+    return [_hex(v) for v in value]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_circumsphere_matches_the_full_gram_bit_for_bit(dim):
+    # Computing each Gram entry once, mirroring the off-diagonal ones, must
+    # give the full matrix's center and r^2 to the last bit, for every
+    # boundary size the recursion asks for.
+    rng = np.random.default_rng(300 + dim)
+    solved = 0
+    for k in range(1, dim + 2):
+        for pts in _boundary_sets(dim, k, rng):
+            bpts = [tuple(row) for row in pts.tolist()]
+            want = full_gram_circumsphere(bpts)
+            assert _hex(instances._circumsphere(bpts)) == _hex(want), bpts
+            solved += want is not None
+    assert solved > 0
+
+
+def test_solve_linear_matches_the_generator_scale():
+    rng = np.random.default_rng(31)
+    values = np.array(EXTREMES + (math.inf, -math.inf, math.nan, 2.0, 3.0))
+    for k in range(1, 5):
+        for _ in range(500):
+            a = rng.choice(values, (k, k)).tolist()
+            b = rng.choice(values, k).tolist()
+            try:
+                want = full_gram_solve_linear(a, b)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    instances._solve_linear(a, b)
+                continue
+            assert _hex(instances._solve_linear(a, b)) == _hex(want), (a, b)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e154, 1e307])
+def test_column_scan_matches_the_row_sum(dim, scale):
+    # Squared distances overflow to inf at the two larger scales; the
+    # column sum must still give the row sum's mask, bit for bit.
+    rng = np.random.default_rng(int(dim * 10 + math.log10(scale) % 97))
+    pts = (rng.random((300, dim)) * 2.0 - 1.0) * scale
+    pts[:3] = [[1.0 * scale] * dim, [-1.0 * scale] * dim, [0.0] * dim]
+    space = SebSpace(make_seb(pts))
+    assert len(space._columns) == dim
+    balls = []
+    for size in (1, 2, 3, 12):
+        try:
+            balls.append(space._ball(sum(1 << int(i) for i in rng.choice(40, size, replace=False)),
+                                     []))
+        except ValueError:   # the ball itself overflows the float range
+            pass
+    for _ in range(200):
+        center = tuple((rng.random(dim) * 4.0 - 2.0) * scale)
+        r2 = float(rng.choice([0.0, rng.random() * scale * scale, rng.random()]))
+        balls.append((center, r2))
+    for ball in balls:
+        assert space._outside(ball) == row_sum_outside(space, ball), ball
+    assert len(space._masks) == len(set(balls))
+
+
+@pytest.mark.parametrize("dim", [0, 3, 4])
+def test_other_dimensions_keep_the_row_sum(dim):
+    pts = np.random.default_rng(40 + dim).random((30, dim))
+    space = SebSpace(make_seb(pts))
+    assert space._columns == []
+    for g in [1, 0b1011, full_mask(30)]:
+        ball = space._ball(g, [])
+        assert space._outside(ball) == row_sum_outside(space, ball)
+
+
+def test_a_dimension_0_space_has_no_violators():
+    # Every point of R^0 is the origin: the ball of any nonempty set
+    # holds all of them, and a single point is a basis of the whole set.
+    inst = make_seb(np.zeros((5, 0)))
+    space = SebSpace(inst)
+    assert space.dim_hint == 1
+    assert [space.violators(g) for g in range(32)] == [full_mask(5)] + [0] * 31
+    assert space.violator_table() == [full_mask(5)] + [0] * 31
+    assert algorithms.swiss_algorithm(SebSpace(inst), seed=1).basis == 0b1
 
 
 def _count_calls(monkeypatch, module, name):
