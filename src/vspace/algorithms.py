@@ -43,6 +43,9 @@ class SolverStall(RuntimeError):
         self.trace = trace
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 class WeightMap:
     """Integer multiplicities over the ground set, with a cached total."""
 
@@ -64,21 +67,17 @@ class WeightMap:
         weighted_sample never draws a zero weight; the constructor still
         refuses them, so this fills the fields directly."""
         w = cls.__new__(cls)
-        w.mu = [1] * n
-        for i in elements(((1 << n) - 1) & ~support):
-            w.mu[i] = 0
+        # Sentinel bit n keeps the zeros above support's top bit; reversed,
+        # character i of the binary string is bit i, translated to 0 or 1.
+        w.mu = list(bin(support | 1 << n)[:2:-1].encode().translate(_BITS))
         w.total = support.bit_count()
         return w
 
     def double(self, mask: int) -> None:
         added = 0
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
+        for i in elements(mask):
             added += self.mu[i]
             self.mu[i] *= 2
-            m ^= low
         self.total += added
 
 
@@ -86,7 +85,13 @@ class WeightMap:
 class SolveResult:
     basis: int
     trace: RunTrace
-    calls: int  # rounds (german and swiss); 1 for a delegated run
+    # Rounds (german and swiss), 1 for a delegated run. Read off the trace
+    # when left at 0; a field, not a property, so dataclasses.replace sets it.
+    calls: int = 0
+
+    def __post_init__(self):
+        if not self.calls:
+            object.__setattr__(self, "calls", max(1, len(self.trace.rounds)))
 
 
 # The trace of a run that hands the whole ground set to find_basis.
@@ -152,7 +157,7 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
     n = space.n
     r = german_sample_size(d, n)
     if n <= r:
-        return SolveResult(find_basis(space, space.ground), _DELEGATED, 1)
+        return SolveResult(find_basis(space, space.ground), _DELEGATED)
 
     rng = random.Random(spawn(seed, 0))
     sample = weighted_sample(WeightMap.unit(n), r, rng)
@@ -175,7 +180,7 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
             recs.append(rec)
             if rec.violators == 0:
                 basis = find_basis(space, rec.sample) if inner == "bfa" else bases[-1]
-                return SolveResult(basis, trace(True), len(recs))
+                return SolveResult(basis, trace(True))
     except SolverStall as stall:
         raise SolverStall(f"inner swiss run stalled: {stall}", trace(False)) from stall
     raise SolverStall(f"basis loop ran past {d + 1} rounds; the handle does not "
@@ -227,7 +232,7 @@ def _swiss(space: ViolatorSpace, support: int, seed: int, c: float) -> SolveResu
     n = support.bit_count()
     r = swiss_sample_size(d, n, c)
     if n <= r:
-        return SolveResult(find_basis(space, support), _DELEGATED, 1)
+        return SolveResult(find_basis(space, support), _DELEGATED)
 
     cap = default_safety_cap(d, n)
     recs: list[RoundRecord] = []
@@ -239,7 +244,7 @@ def _swiss(space: ViolatorSpace, support: int, seed: int, c: float) -> SolveResu
     trace = RunTrace(rounds=tuple(recs), terminated_cleanly=clean, ground_size=space.n, slips=r)
     if not clean:
         raise SolverStall(f"no violator-free basis within {cap} rounds", trace)
-    return SolveResult(find_basis(space, recs[-1].sample), trace, len(recs))
+    return SolveResult(find_basis(space, recs[-1].sample), trace)
 
 
 def sa_forever(space: ViolatorSpace, seed: int, max_rounds: int,

@@ -30,6 +30,7 @@ from .subsets import (
     interval_hull,
     iter_by_size_then_value,
     iter_submasks_ascending,
+    mask_of,
 )
 
 AXIOM_CHECK_LIMIT = 20        # full 2^n enumeration beyond this is refused
@@ -254,13 +255,7 @@ def extreme_elements(space: ViolatorSpace, subset: int) -> int:
 
 def _extreme_among(space: ViolatorSpace, subset: int, vr: int, probe: int) -> int:
     """The elements s of `probe` with V(subset minus s) != vr, one call each."""
-    out = 0
-    while probe:
-        low = probe & -probe
-        if space.violators(subset ^ low) != vr:
-            out |= low
-        probe ^= low
-    return out
+    return mask_of(i for i in elements(probe) if space.violators(subset ^ 1 << i) != vr)
 
 
 def find_basis(space: ViolatorSpace, subset: int) -> int:
@@ -339,12 +334,10 @@ def _valid_core(space: ViolatorSpace, p: int, g: int) -> int:
     single element can be dropped: each member left out in turn if the
     rest stays valid. One oracle call per element of p, each on a subset
     of p."""
-    s, m = p, p
-    while m:
-        low = m & -m
-        m ^= low
-        if space.violators(s ^ low) & g == 0:
-            s ^= low
+    s = p
+    for i in elements(p):
+        if space.violators(s ^ 1 << i) & g == 0:
+            s ^= 1 << i
     return s
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import ViolatorSpace, check_axioms
 from .seeding import spawn
-from .subsets import elements, full_mask
+from .subsets import elements, full_mask, mask_of
 
 TABLE_FORMAT = "violator-table-v1"
 SEB_FORMAT = "seb-v1"
@@ -524,10 +524,7 @@ class SebSpace(ViolatorSpace):
         """
         self.violators(subset)
         _, outside, hits = self._last
-        candidates = outside & subset
-        for j in hits:
-            candidates |= 1 << j
-        return candidates
+        return outside & subset | mask_of(hits)
 
 
 def load_space(path) -> ExplicitSpace | SebSpace:

@@ -21,11 +21,14 @@ def mask_of(elements: Iterable[int]) -> int:
 
 
 def elements(mask: int) -> list[int]:
+    """The set bits of mask in ascending order, read off one binary string
+    in O(width + k) time (peeling k bits off an n-bit int costs O(k n))."""
+    bits = bin(mask)[:1:-1]
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
     return out
 
 

@@ -88,6 +88,17 @@ def table_pass_cases(roster) -> list:
             cloud, tabulate(cloud), ExplicitSpace(0, [0]), FuncSpace(0, lambda g: 0)]
 
 
+def peel_elements(mask: int) -> list[int]:
+    """Oracle for subsets.elements: peel the lowest set bit off until none
+    is left. Each step rewrites the whole int, so k bits cost O(k n)."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def compress(mask: int, support: int) -> int:
     """Extract the bits of mask at the positions of support into a dense mask.
 

@@ -24,7 +24,7 @@ from vspace.instances import SebSpace, generate, make_seb
 from vspace.seeding import spawn
 from vspace.subsets import elements, full_mask
 
-from conftest import RecordingHandle, RestrictedSpace, compress, expand
+from conftest import RecordingHandle, RestrictedSpace, compress, expand, peel_elements
 
 
 def test_weightmap_basics():
@@ -37,6 +37,8 @@ def test_weightmap_basics():
     assert w.mu == [1, 4, 1, 2]
     assert w.total == 8
     assert WeightMap.unit(0).total == 0
+    w = WeightMap.unit(3000)
+    assert w.mu == [1] * 3000 and w.total == 3000
 
 
 def test_weightmap_rejects_bad_weights():
@@ -105,11 +107,16 @@ def test_weighted_sample_on_a_support_is_the_dense_sample_expanded():
     # the dense weights (the support's elements in order) collapse it to:
     # the sample is the dense one placed at the support's positions, drawn
     # with the same rng calls, and no zero-weight element is ever drawn.
+    # Widths in the thousands (some with the full support) and n = 0 check
+    # _indicator and double on masks many machine words wide.
     rng = random.Random(16)
-    for _ in range(400):
-        n = rng.randint(1, 40)
-        support = rng.getrandbits(n) | 1 << rng.randrange(n)
+    for n in [*(rng.randint(1, 40) for _ in range(400)), 0,
+              *(rng.randint(1000, 4000) for _ in range(8))]:
+        support = rng.getrandbits(n) | 1 << rng.randrange(n) if n else 0
+        if rng.random() < 0.1:
+            support = full_mask(n)
         sparse = WeightMap._indicator(n, support)
+        assert sparse.mu == [support >> i & 1 for i in range(n)]
         dense = WeightMap.unit(support.bit_count())
         for _ in range(rng.randint(0, 6)):
             v = rng.getrandbits(n) & support
@@ -118,7 +125,9 @@ def test_weighted_sample_on_a_support_is_the_dense_sample_expanded():
         assert sparse.total == dense.total
         assert [sparse.mu[i] for i in elements(support)] == dense.mu
         assert all(w == 0 for i, w in enumerate(sparse.mu) if not support >> i & 1)
-        r = rng.randint(1, dense.total)
+        if not support:
+            continue
+        r = rng.randint(1, min(dense.total, 3000))
         seed = rng.getrandbits(32)
         a, b = random.Random(seed), random.Random(seed)
         got = weighted_sample(sparse, r, a)
@@ -273,6 +282,25 @@ def test_german_matches_basis_per_round_oracle_on_clouds(points):
     space = SebSpace(make_seb(points))
     _assert_german_matches_oracle(space, range(10), "bfa")
     _assert_german_matches_oracle(space, range(2), "sa")
+
+
+def test_solvers_match_their_oracles_on_20000_planar_points():
+    # No other test reaches masks this wide. German (both inner solvers)
+    # must equal the per-round oracle round for round, and each swiss
+    # round's weight_total and the final weights must be 2 to the power of
+    # the doubling counts.
+    space = SebSpace(generate("uniform-square", {"n": 20_000, "dim": 2}, 20))
+    _assert_german_matches_oracle(space, range(2), "bfa")
+    _assert_german_matches_oracle(space, range(2), "sa")
+    res = swiss_algorithm(space, seed=20)
+    doublings = [0] * space.n
+    for rec in res.trace.rounds:
+        assert space.violators(rec.sample) == rec.violators
+        for i in peel_elements(rec.violators):
+            doublings[i] += 1
+        assert rec.weight_total == sum(1 << c for c in doublings)
+    assert res.trace.final_weights == tuple(1 << c for c in doublings)
+    assert res.trace.terminated_cleanly and space.violators(res.basis) == 0
 
 
 def _assert_inner_sa_asks_like_the_oracle(fresh, seeds):

@@ -1,7 +1,8 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vspace.subsets import (
@@ -14,7 +15,7 @@ from vspace.subsets import (
     mask_of,
 )
 
-from conftest import compress, expand
+from conftest import compress, expand, peel_elements
 
 masks = st.integers(min_value=0, max_value=(1 << 12) - 1)
 
@@ -31,9 +32,32 @@ def test_mask_elements_roundtrip():
     assert elements(0) == []
 
 
-@given(masks)
+# Masks up to 70,000 bits wide: dense (random bits below a random width)
+# and sparse (a few random positions), plus the word boundaries at 2^63
+# and 2^64 and the full and top-bit-only widest masks as fixed examples.
+WIDTH = 70_000
+wide_masks = st.one_of(
+    masks,
+    st.builds(lambda width, seed: random.Random(seed).getrandbits(width),
+              st.integers(0, WIDTH), st.integers(0, 2**32)),
+    st.lists(st.integers(0, WIDTH - 1), max_size=40).map(lambda es: sum(1 << e for e in set(es))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_masks)
+@example(0)
+@example(1 << 63)
+@example(1 << 64)
+@example((1 << 64) - 1)
+@example((1 << 65) - 1 ^ 1 << 63)
+@example(1 << WIDTH - 1)
+@example(full_mask(WIDTH))
 def test_elements_inverse(mask):
-    assert mask_of(elements(mask)) == mask
+    out = elements(mask)
+    assert out == peel_elements(mask)
+    assert all(a < b for a, b in zip(out, out[1:]))
+    assert mask_of(out) == mask
 
 
 @given(st.integers(min_value=0, max_value=255))
