@@ -171,20 +171,34 @@ def check_axioms(space: ViolatorSpace) -> AxiomReport:
     n = space.n
     if n > AXIOM_CHECK_LIMIT:
         raise ValueError(f"axiom check refused: n={n} exceeds {AXIOM_CHECK_LIMIT}")
-    full = full_mask(n)
     table = space.violator_table()
-
     witnesses: list[Counterexample] = []
-    consistent = True
+    consistent = _record(_consistency_failures(table, n), witnesses)
+    local = _record(_locality_failures(table, n), witnesses)
+    monotone = (None if n > MONOTONE_CHECK_LIMIT
+                else _record(_monotonicity_failures(table, n), witnesses))
+    return AxiomReport(consistent, local, monotone, tuple(witnesses))
+
+
+def _record(walk, witnesses: list[Counterexample]) -> bool:
+    """Whether `walk` yields no counterexample. Its counterexamples join
+    `witnesses` while it holds fewer than MAX_COUNTEREXAMPLES; the walk
+    stops when the list is full and it has yielded at least one."""
+    room = MAX_COUNTEREXAMPLES - len(witnesses)
+    found = list(itertools.islice(walk, max(room, 1)))
+    witnesses.extend(found[:room])
+    return not found
+
+
+def _consistency_failures(table: list[int], n: int):
     for g in range(1 << n):
         bad = g & table[g]
         if bad:
-            consistent = False
-            if len(witnesses) < MAX_COUNTEREXAMPLES:
-                witnesses.append(Counterexample(
-                    "consistency", g, g, f"G & V(G) == {bad:#x}"))
+            yield Counterexample("consistency", g, g, f"G & V(G) == {bad:#x}")
 
-    local = True
+
+def _locality_failures(table: list[int], n: int):
+    full = full_mask(n)
     for f in range(1 << n):
         vf = table[f]
         if f & vf:
@@ -195,49 +209,28 @@ def check_axioms(space: ViolatorSpace) -> AxiomReport:
             m ^= low
             g = f | low
             if table[g] != vf:
-                local = False
-                if len(witnesses) < MAX_COUNTEREXAMPLES:
-                    witnesses.append(Counterexample(
-                        "locality", f, g,
-                        f"V(F) == {vf:#x} but V(G) == {table[g]:#x} with G & V(F) == 0"))
-                else:
-                    break
-        if not local and len(witnesses) >= MAX_COUNTEREXAMPLES:
-            break
+                yield Counterexample(
+                    "locality", f, g,
+                    f"V(F) == {vf:#x} but V(G) == {table[g]:#x} with G & V(F) == 0")
 
-    monotone: bool | None
-    if n > MONOTONE_CHECK_LIMIT:
-        monotone = None
-    else:
-        monotone = True
-        done = False
-        for f in range(1 << n):
-            vf = table[f]
-            rest = full & ~f
-            for s in iter_submasks_ascending(rest):
-                g = f | s
-                if table[g] != vf:
-                    continue
-                m = s
-                while m:
-                    e = f | m
-                    if table[e] != vf:
-                        monotone = False
-                        if len(witnesses) < MAX_COUNTEREXAMPLES:
-                            witnesses.append(Counterexample(
-                                "monotonicity", f, e,
-                                f"V(F) == V(G) == {vf:#x} for G == {g:#x} "
-                                f"but V(E) == {table[e]:#x}"))
-                        else:
-                            done = True
-                            break
-                    m = (m - 1) & s
-                if done:
-                    break
-            if done:
-                break
 
-    return AxiomReport(consistent, local, monotone, tuple(witnesses))
+def _monotonicity_failures(table: list[int], n: int):
+    full = full_mask(n)
+    for f in range(1 << n):
+        vf = table[f]
+        rest = full & ~f
+        for s in iter_submasks_ascending(rest):
+            g = f | s
+            if table[g] != vf:
+                continue
+            m = s
+            while m:
+                e = f | m
+                if table[e] != vf:
+                    yield Counterexample(
+                        "monotonicity", f, e,
+                        f"V(F) == V(G) == {vf:#x} for G == {g:#x} but V(E) == {table[e]:#x}")
+                m = (m - 1) & s
 
 
 def extreme_elements(space: ViolatorSpace, subset: int) -> int:

@@ -276,33 +276,38 @@ def _circumsphere(bpts):
     return tuple(center), r2
 
 
-def _ball_with_boundary(bpts, tol: float):
+def _ball_with_boundary(bpts, tol: float, dim: int):
     """Smallest ball with every point of bpts on (or within tol of) its boundary.
 
-    Degenerate supports (duplicates, affine dependence) fall back to
+    The empty boundary has the empty ball, r^2 = -inf, which holds no
+    point. Degenerate supports (duplicates, affine dependence) fall back to
     enumerating proper subsets and taking the smallest circumsphere that
-    still covers all boundary points.
+    still covers all boundary points. At tol = 0 rounding can leave a
+    boundary point one ulp outside every candidate, so a search that finds
+    none is repeated within DEFAULT_TOLERANCE. Finite points that still have
+    no ball overflow the float range: ValueError.
     """
     if not bpts:
-        return None
+        return (0.0,) * dim, -math.inf
     ball = _circumsphere(bpts)
     if ball is not None:
         return ball
-    best = None
     k = len(bpts)
-    for size in range(1, k):
-        for idx in itertools.combinations(range(k), size):
-            cand = _circumsphere([bpts[i] for i in idx])
-            if cand is None:
-                continue
-            c, r2 = cand
-            lim = r2 * (1.0 + tol) + 1e-300
-            if all(_dist2(p, c) <= lim for p in bpts):
-                if best is None or r2 < best[1]:
-                    best = cand
-        if best is not None:
-            return best
-    return best
+    for slack in (tol, max(tol, DEFAULT_TOLERANCE)):
+        for size in range(1, k):
+            best = None
+            for idx in itertools.combinations(range(k), size):
+                cand = _circumsphere([bpts[i] for i in idx])
+                if cand is None:
+                    continue
+                c, r2 = cand
+                lim = r2 * (1.0 + slack) + 1e-300
+                if all(_dist2(p, c) <= lim for p in bpts):
+                    if best is None or r2 < best[1]:
+                        best = cand
+            if best is not None:
+                return best
+    raise ValueError("points too far apart: a smallest enclosing ball overflows the float range")
 
 
 def _mb(pts, order: list[int], end: int, boundary: tuple[int, ...], tol: float,
@@ -314,9 +319,10 @@ def _mb(pts, order: list[int], end: int, boundary: tuple[int, ...], tol: float,
     must lie on the boundary of the true one, so it sets off a recursion
     on the points before it and then moves to the front of `order`,
     leaving every later position as it was. Recursion depth <= dim+1.
-    A boundary ball is a function of its ordered index tuple alone, so
-    `balls` memoizes it exactly. Every point that sets off a recursion is
-    appended to `hits`.
+    The empty boundary starts from the empty ball, so its first point
+    always sets one off. A boundary ball is a function of its ordered
+    index tuple alone, so `balls` memoizes it exactly. Every point that
+    sets off a recursion is appended to `hits`.
 
     Planar points take an inlined containment test: the limit
     r^2 * (1 + tol) is computed once per ball, and the squared distance is
@@ -327,47 +333,34 @@ def _mb(pts, order: list[int], end: int, boundary: tuple[int, ...], tol: float,
     if boundary in balls:
         ball = balls[boundary]
     else:
-        ball = balls[boundary] = _ball_with_boundary([pts[j] for j in boundary], tol)
+        ball = balls[boundary] = _ball_with_boundary([pts[j] for j in boundary], tol, dim)
     if len(boundary) == dim + 1:
         return ball
     if dim == 2:
-        if ball is not None:
-            (c0, c1), r2 = ball
-            lim = r2 * (1.0 + tol)
+        (c0, c1), r2 = ball
+        lim = r2 * (1.0 + tol)
         for i in range(end):
             j = order[i]
-            if ball is not None:
-                p = pts[j]
-                t0 = p[0] - c0
-                t1 = p[1] - c1
-                if t0 * t0 + t1 * t1 <= lim:
-                    continue
+            p = pts[j]
+            t0 = p[0] - c0
+            t1 = p[1] - c1
+            if t0 * t0 + t1 * t1 <= lim:
+                continue
             hits.append(j)
-            ball = _mb(pts, order, i, boundary + (j,), tol, dim, balls, hits)
+            (c0, c1), r2 = ball = _mb(pts, order, i, boundary + (j,), tol, dim, balls, hits)
+            lim = r2 * (1.0 + tol)
             del order[i]
             order.insert(0, j)
-            if ball is not None:
-                (c0, c1), r2 = ball
-                lim = r2 * (1.0 + tol)
         return ball
     for i in range(end):
         j = order[i]
-        if ball is not None:
-            c, r2 = ball
-            if _dist2(pts[j], c) <= r2 * (1.0 + tol):
-                continue
+        c, r2 = ball
+        if _dist2(pts[j], c) <= r2 * (1.0 + tol):
+            continue
         hits.append(j)
         ball = _mb(pts, order, i, boundary + (j,), tol, dim, balls, hits)
         del order[i]
         order.insert(0, j)
-    return ball
-
-
-def _finite(ball):
-    """`ball`, the result of a top-level recursion; None only on float overflow."""
-    if ball is None:
-        raise ValueError("points too far apart: a smallest enclosing ball overflows "
-                         "the float range")
     return ball
 
 
@@ -432,7 +425,8 @@ class SebSpace(ViolatorSpace):
         self._last = (None, 0, [])
 
     def _ball(self, subset: int, hits: list[int]):
-        """(center, r^2) of the smallest ball enclosing the nonempty `subset`.
+        """(center, r^2) of the smallest ball enclosing `subset`; the empty
+        set has the empty ball, r^2 = -inf.
 
         `hits` collects the points that set off a recursion (see
         extreme_candidates).
@@ -447,8 +441,7 @@ class SebSpace(ViolatorSpace):
         if len(self._balls) > BALL_CACHE_LIMIT:
             self._balls, self._masks = {}, {}
         inst = self.instance
-        return _finite(_mb(self._points, order, end, boundary, inst.tolerance, inst.dim,
-                           self._balls, hits))
+        return _mb(self._points, order, end, boundary, inst.tolerance, inst.dim, self._balls, hits)
 
     def _outside(self, ball) -> int:
         """Mask of every point outside `ball`, members of its subset included;
@@ -481,10 +474,8 @@ class SebSpace(ViolatorSpace):
         Asking for the subset of the last call again reuses its answer.
         """
         if self._last[0] != subset:
-            outside, hits = full_mask(self.n), []
-            if subset:
-                outside = self._outside(self._ball(subset, hits))
-            self._last = (subset, outside, hits)
+            hits = []
+            self._last = (subset, self._outside(self._ball(subset, hits)), hits)
         return self._last[1] & ~subset
 
     def violator_table(self) -> list[int]:
@@ -501,12 +492,12 @@ class SebSpace(ViolatorSpace):
         """
         pts, tol = self._points, self.instance.tolerance
         table = [full_mask(self.n)] * (1 << self.n)   # the walk fills all but V(empty set)
-        stack = [(0, [], None)]   # (subset, order list, ball) after its scan
+        stack = [(0, [], self._ball(0, []))]   # (subset, order list, ball) after its scan
         while stack:
             subset, order, ball = stack.pop()
             for k in range(subset.bit_length(), self.n):
                 grown, grown_order, grown_ball = subset | 1 << k, order + [k], ball
-                if ball is None or not _dist2(pts[k], ball[0]) <= ball[1] * (1.0 + tol):
+                if not _dist2(pts[k], ball[0]) <= ball[1] * (1.0 + tol):
                     grown_ball = self._recurse(grown_order, len(order), (k,), [])
                     del grown_order[len(order)]
                     grown_order.insert(0, k)

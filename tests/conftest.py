@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,8 +16,8 @@ from vspace.fixtures import (
 )
 from vspace.harness import SamplingStats
 from vspace.hypercube import partition_to_space, random_partition
-from vspace.instances import (ExplicitSpace, SebSpace, _ball_with_boundary, _dist2, _dot,
-                              generate, make_seb, tabulate)
+from vspace.instances import (ExplicitSpace, SebSpace, _ball_with_boundary, _circumsphere,
+                              _dist2, _dot, generate, make_seb, tabulate)
 from vspace.seeding import spawn
 from vspace.subsets import elements, full_mask, iter_by_size_then_value, iter_size_k_submasks
 
@@ -174,7 +175,62 @@ def _generic_mb(pts, order, end, boundary, tol, dim, balls, hits):
     if boundary in balls:
         ball = balls[boundary]
     else:
-        ball = balls[boundary] = _ball_with_boundary([pts[j] for j in boundary], tol)
+        ball = balls[boundary] = _ball_with_boundary([pts[j] for j in boundary], tol, dim)
+    if len(boundary) == dim + 1:
+        return ball
+    for i in range(end):
+        j = order[i]
+        c, r2 = ball
+        if _dist2(pts[j], c) <= r2 * (1.0 + tol):
+            continue
+        hits.append(j)
+        ball = _generic_mb(pts, order, i, boundary + (j,), tol, dim, balls, hits)
+        del order[i]
+        order.insert(0, j)
+    return ball
+
+
+def generic_ball(space: SebSpace, subset: int, hits: list[int]):
+    """Oracle for SebSpace._ball: the generic move-to-front loop on a fresh
+    memo; ValueError where the float range overflows."""
+    inst = space.instance
+    order = elements(subset)
+    return _generic_mb(space._points, order, len(order), (), inst.tolerance, inst.dim, {}, hits)
+
+
+def _ball_with_boundary_or_none(bpts, tol):
+    """The None-state boundary ball: instances._ball_with_boundary before the
+    empty ball, None for the empty boundary and wherever no circumsphere of
+    the boundary or of a proper subset covers it within tol."""
+    if not bpts:
+        return None
+    ball = _circumsphere(bpts)
+    if ball is not None:
+        return ball
+    best = None
+    k = len(bpts)
+    for size in range(1, k):
+        for idx in itertools.combinations(range(k), size):
+            cand = _circumsphere([bpts[i] for i in idx])
+            if cand is None:
+                continue
+            c, r2 = cand
+            lim = r2 * (1.0 + tol) + 1e-300
+            if all(_dist2(p, c) <= lim for p in bpts):
+                if best is None or r2 < best[1]:
+                    best = cand
+        if best is not None:
+            return best
+    return best
+
+
+def _none_state_mb(pts, order, end, boundary, tol, dim, balls, hits):
+    """The None-state recursion: while the ball is None, every point sets
+    off a recursion."""
+    if boundary in balls:
+        ball = balls[boundary]
+    else:
+        ball = balls[boundary] = _ball_with_boundary_or_none([pts[j] for j in boundary], tol)
     if len(boundary) == dim + 1:
         return ball
     for i in range(end):
@@ -184,18 +240,24 @@ def _generic_mb(pts, order, end, boundary, tol, dim, balls, hits):
             if _dist2(pts[j], c) <= r2 * (1.0 + tol):
                 continue
         hits.append(j)
-        ball = _generic_mb(pts, order, i, boundary + (j,), tol, dim, balls, hits)
+        ball = _none_state_mb(pts, order, i, boundary + (j,), tol, dim, balls, hits)
         del order[i]
         order.insert(0, j)
     return ball
 
 
-def generic_ball(space: SebSpace, subset: int):
-    """Oracle for SebSpace._ball: (ball, hits) of the generic move-to-front
-    loop on a fresh memo; the ball is None where the float range overflows."""
-    inst, hits = space.instance, []
+def none_state_ball(space: SebSpace, subset: int):
+    """Oracle for SebSpace._ball: (ball, hits) of the miniball recursion as
+    it was before the empty ball, with None for "this boundary has no ball",
+    on a fresh memo. The ball is None wherever a nonempty boundary met on
+    the way had none: from there that recursion tries every point and can
+    end on a ball that leaves points of the subset outside."""
+    inst, hits, balls = space.instance, [], {}
     order = elements(subset)
-    ball = _generic_mb(space._points, order, len(order), (), inst.tolerance, inst.dim, {}, hits)
+    ball = _none_state_mb(space._points, order, len(order), (), inst.tolerance, inst.dim,
+                          balls, hits)
+    if any(b is None for key, b in balls.items() if key):
+        ball = None
     return ball, hits
 
 
@@ -266,14 +328,13 @@ def row_sum_outside(space: SebSpace, ball) -> int:
 
 def _index_order_mb(pts, sel, boundary, tol, dim):
     """The miniball recursion on a shrinking prefix, in plain index order."""
-    ball = _ball_with_boundary([pts[j] for j in boundary], tol)
+    ball = _ball_with_boundary([pts[j] for j in boundary], tol, dim)
     if len(boundary) == dim + 1:
         return ball
     for i, j in enumerate(sel):
-        if ball is not None:
-            c, r2 = ball
-            if _dist2(pts[j], c) <= r2 * (1.0 + tol):
-                continue
+        c, r2 = ball
+        if _dist2(pts[j], c) <= r2 * (1.0 + tol):
+            continue
         ball = _index_order_mb(pts, sel[:i], boundary + (j,), tol, dim)
     return ball
 

@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -309,6 +310,30 @@ OVERFLOWING = tuple(
 )
 
 
+# Two points of the unit square, each twice, at tolerance 0: rounding puts
+# a boundary point one ulp outside every circumsphere of its boundary,
+# which is no overflow.
+DOUBLED_AT_TOLERANCE_0 = {
+    "format": "seb-v1", "dim": 2, "tolerance": 0.0,
+    "points": [[0.6055995301393269, 0.9088184001853248], [0.4692323376190216, 0.5507846417600732],
+               [0.6055995301393269, 0.9088184001853248], [0.4692323376190216, 0.5507846417600732]],
+}
+
+
+def fuzz_argvs(path, tmp):
+    """The argv of every FUZZ_RUNS command on the file at `path`."""
+    for i, (command, *flags) in enumerate(FUZZ_RUNS):
+        # A fresh file per run: truncating and rewriting one file can
+        # force a flush to disk on every write.
+        out = str(pathlib.Path(tmp) / f"out-{i}.json")
+        argv = [command, str(path), *flags]
+        if command == "bench":
+            argv += ["--out", out]
+        elif command == "tabulate":
+            argv.append(out)
+        yield argv
+
+
 @settings(max_examples=150, deadline=None)
 @given(space_files())
 @example({"format": "violator-table-v1", "n": 1, "table": [0, 0]})
@@ -316,24 +341,27 @@ OVERFLOWING = tuple(
 @example({"format": "seb-v1", "dim": 2, "points": []})
 @example(OVERFLOWING[0])
 @example(OVERFLOWING[1])
+@example(DOUBLED_AT_TOLERANCE_0)
 def test_cli_total_on_random_tables(payload):
     # Every command ends with an exit code, never an exception.
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "space.json"
         path.write_text(json.dumps(payload))
-        for i, (command, *flags) in enumerate(FUZZ_RUNS):
-            # A fresh file per run: truncating and rewriting one file can
-            # force a flush to disk on every write.
-            out = str(pathlib.Path(tmp) / f"out-{i}.json")
-            argv = [command, str(path), *flags]
-            if command == "bench":
-                argv += ["--out", out]
-            elif command == "tabulate":
-                argv.append(out)
+        for argv in fuzz_argvs(path, tmp):
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 rc = main(argv)
             assert rc in (0, 1, 2), (argv, rc)
+
+
+def test_doubled_points_at_tolerance_0_are_no_overflow(capsys, tmp_path):
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps(DOUBLED_AT_TOLERANCE_0))
+    for argv in fuzz_argvs(path, tmp_path):
+        rc, out, err = run(capsys, *argv)
+        assert "overflows the float range" not in out + err, argv
+        if argv[0] == "solve":
+            assert rc == 0, (argv, out, err)
 
 
 # Stalls are failed checks (exit 1): the german cap, forced by declaring
@@ -418,6 +446,32 @@ def test_overflowing_points_are_one_error_line(capsys, tmp_path, payload, argv):
     if command == "tabulate":
         flags.append(str(tmp_path / "out.json"))
     rc, out, err = run(capsys, command, str(path), *flags)
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: points too far apart: a smallest enclosing ball overflows "
+                   "the float range\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--algo", "bfa", "--seed", "1"),
+    ("solve", "--algo", "ga", "--seed", "1"),
+    ("solve", "--algo", "ga", "--inner", "sa", "--seed", "1"),
+    ("solve", "--algo", "sa", "--seed", "1"),
+    ("bench", "--algo", "ga", "--trials", "2", "--seed", "1"),
+    ("bench", "--algo", "sa", "--trials", "2", "--seed", "1"),
+], ids=("solve-bfa", "solve-ga", "solve-ga-inner-sa", "solve-sa", "bench-ga", "bench-sa"))
+def test_300_overflowing_points_are_one_error_line_at_once(capsys, tmp_path, argv):
+    # The recursion raises at the first boundary with no ball; trying every
+    # point from there took over 100 s on these 300 points.
+    pts = (np.random.default_rng(37).random((300, 2)) * 2.0 - 1.0) * 1e307
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"format": "seb-v1", "dim": 2, "points": pts.tolist()}))
+    command, *flags = argv
+    if command == "bench":
+        flags += ["--out", str(tmp_path / "r.json")]
+    start = time.perf_counter()
+    rc, out, err = run(capsys, command, str(path), *flags)
+    assert time.perf_counter() - start < 1.0
     assert rc == 2
     assert out == ""
     assert err == ("error: points too far apart: a smallest enclosing ball overflows "

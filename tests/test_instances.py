@@ -1,8 +1,10 @@
+import functools
 import itertools
 import json
 import math
 import pathlib
 import random
+import time
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from conftest import (
     full_gram_solve_linear,
     generic_ball,
     index_order_violators,
+    none_state_ball,
     plain_find_basis,
     row_sum_outside,
 )
@@ -379,23 +382,29 @@ def test_extreme_candidates_exact_on_degenerate_clouds(dim):
         _assert_narrowing_exact(sub, [0, full_mask(sub.n)] + [rng.getrandbits(sub.n) for _ in range(10)])
 
 
-def _assert_kernel_bit_for_bit(space, subsets) -> int:
-    # The planar kernel must make the generic loop's float operations:
-    # the same center and r^2 to the last bit, and the same hits in order.
-    # Returns how many of the balls overflow the float range.
-    def bits(ball):
-        return None if ball is None else ([x.hex() for x in ball[0]], ball[1].hex())
+OVERFLOW_ERROR = "points too far apart: a smallest enclosing ball overflows the float range"
 
+
+def _assert_kernel_bit_for_bit(space, subsets) -> int:
+    # Wherever the None-state recursion finds a ball, the kernel must make
+    # its float operations: the same center and r^2 to the last bit, and
+    # the same hits in order. Where it meets a boundary with no ball, the
+    # kernel must raise the overflow error. In the plane the generic loop,
+    # which every other dimension runs, must do the same.
+    # Returns how many of the balls overflow the float range.
+    kernels = [space._ball] + [functools.partial(generic_ball, space)] * (space.instance.dim == 2)
     overflowed = 0
     for g in subsets:
-        want, want_hits = generic_ball(space, g)
-        hits = []
-        try:
-            got = space._ball(g, hits)
-        except ValueError:
-            got = None
-        assert bits(got) == bits(want), hex(g)
-        assert hits == want_hits, hex(g)
+        want, want_hits = none_state_ball(space, g)
+        for kernel in kernels:
+            hits = []
+            if want is None:
+                with pytest.raises(ValueError) as exc:
+                    kernel(g, hits)
+                assert str(exc.value) == OVERFLOW_ERROR, hex(g)
+            else:
+                assert _hex(kernel(g, hits)) == _hex(want), hex(g)
+                assert hits == want_hits, hex(g)
         overflowed += want is None
     return overflowed
 
@@ -403,7 +412,14 @@ def _assert_kernel_bit_for_bit(space, subsets) -> int:
 def test_planar_kernel_bit_for_bit_on_every_subset_of_degenerate_clouds():
     for pts in _clouds(2, 102):
         space = SebSpace(make_seb(pts))
-        _assert_kernel_bit_for_bit(space, range(1, 1 << space.n))
+        assert _assert_kernel_bit_for_bit(space, range(1, 1 << space.n)) == 0
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_kernel_bit_for_bit_on_every_subset_of_degenerate_clouds(dim):
+    for pts in _clouds(dim, 100 + dim):
+        space = SebSpace(make_seb(pts))
+        assert _assert_kernel_bit_for_bit(space, range(1, 1 << space.n)) == 0
 
 
 def test_planar_kernel_bit_for_bit_on_a_large_cloud():
@@ -416,10 +432,13 @@ def test_planar_kernel_bit_for_bit_on_a_large_cloud():
 
 def test_planar_kernel_bit_for_bit_near_the_overflow_edge():
     # Coordinates in [-1e154, 1e154]: some squared distances overflow, so
-    # some balls do (593 of the 1023 subsets) and most others come close.
+    # the recursions of 950 of the 1023 subsets meet a boundary with no
+    # ball, and most others come close. The None state, which recurses on
+    # from such a boundary, still ends on a ball for 357 of the 950, and
+    # 280 of those leave a point of the subset outside.
     pts = (np.random.default_rng(19).random((10, 2)) * 2.0 - 1.0) * 1e154
     space = SebSpace(make_seb(pts))
-    assert 0 < _assert_kernel_bit_for_bit(space, range(1, 1 << space.n)) < 1023
+    assert _assert_kernel_bit_for_bit(space, range(1, 1 << space.n)) == 950
 
 
 def test_planar_kernel_bit_for_bit_near_the_underflow_edge():
@@ -775,6 +794,31 @@ def test_overflowing_points_raise_one_value_error(points):
     with pytest.raises(ValueError) as loop:
         ViolatorSpace.violator_table(space)
     assert str(walk.value) == str(loop.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflow_raises_at_once():
+    # The first boundary with no ball raises. Recursing on every point from
+    # there grows like n^3 in the plane: over 100 s on these 300 points.
+    pts = (np.random.default_rng(37).random((300, 2)) * 2.0 - 1.0) * 1e307
+    space = SebSpace(make_seb(pts))
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        space.violators(full_mask(300))
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == OVERFLOW_ERROR
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tolerance_0_finds_a_ball_for_doubled_and_grid_clouds(dim):
+    # At tolerance 0 rounding can put a boundary point one ulp outside every
+    # circumsphere of its boundary, and that is no overflow: the fallback
+    # search is repeated within DEFAULT_TOLERANCE.
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        u = rng.random((6, dim))
+        for pts in (np.concatenate([u, u]), rng.integers(0, 3, (12, dim)).astype(float)):
+            SebSpace(make_seb(pts, tolerance=0.0)).violator_table()
 
 
 def test_sebspace_hint_and_tabulate():
