@@ -33,7 +33,6 @@ from .core import (
 from .algorithms import (
     SolveResult,
     SolverStall,
-    WeightMap,
     default_safety_cap,
     german_algorithm,
     sa_forever,
@@ -93,7 +92,7 @@ __all__ = [
     "ExplicitSpace", "FuncSpace", "HypercubePartition", "Interval",
     "RoundRecord", "RunTrace", "SamplingReport", "SamplingStats",
     "SebInstance", "SebSpace", "SolveResult", "SolverStall",
-    "ViolationPattern", "ViolatorSpace", "WeightMap",
+    "ViolationPattern", "ViolatorSpace",
     "anti_basis", "check_axioms", "combinatorial_dimension",
     "composite_experiment", "composite_rounds", "composite_space",
     "composite_violators", "default_safety_cap", "elements",

@@ -46,39 +46,11 @@ class SolverStall(RuntimeError):
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-class WeightMap:
-    """Integer multiplicities over the ground set, with a cached total."""
-
-    __slots__ = ("mu", "total")
-
-    def __init__(self, mu):
-        self.mu = list(mu)
-        if any(not isinstance(w, int) or w < 1 for w in self.mu):
-            raise ValueError("weights must be ints >= 1")
-        self.total = sum(self.mu)
-
-    @classmethod
-    def unit(cls, n: int) -> "WeightMap":
-        return cls._indicator(n, (1 << n) - 1)
-
-    @classmethod
-    def _indicator(cls, n: int, support: int) -> "WeightMap":
-        """Weight 1 on the elements of support and 0 on the rest of 0..n-1.
-        weighted_sample never draws a zero weight; the constructor still
-        refuses them, so this fills the fields directly."""
-        w = cls.__new__(cls)
-        # Sentinel bit n keeps the zeros above support's top bit; reversed,
-        # character i of the binary string is bit i, translated to 0 or 1.
-        w.mu = list(bin(support | 1 << n)[:2:-1].encode().translate(_BITS))
-        w.total = support.bit_count()
-        return w
-
-    def double(self, mask: int) -> None:
-        added = 0
-        for i in elements(mask):
-            added += self.mu[i]
-            self.mu[i] *= 2
-        self.total += added
+def _indicator(n: int, support: int) -> list[int]:
+    """Weight 1 on the elements of support and 0 on the rest of 0..n-1."""
+    # Sentinel bit n keeps the zeros above support's top bit; reversed,
+    # character i of the binary string is bit i, translated to 0 or 1.
+    return list(bin(support | 1 << n)[:2:-1].encode().translate(_BITS))
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,15 +70,16 @@ class SolveResult:
 _DELEGATED = RunTrace(rounds=(), terminated_cleanly=True, delegated=True)
 
 
-def weighted_sample(weights: WeightMap, r: int, rng: random.Random) -> int:
+def weighted_sample(mu: list[int], r: int, rng: random.Random) -> int:
     """Collapse of a uniform r-subset of the slip multiset.
 
-    Element h contributes mu_h distinguishable slips. A uniform r-subset
-    of all slips is drawn with Floyd's method and mapped back to element
-    indices; this has the same law as removing one random slip at a time.
-    The result has between 1 and r elements set.
+    Element h contributes mu[h] >= 0 distinguishable slips. A uniform
+    r-subset of all slips is drawn with Floyd's method and mapped back to
+    element indices; this has the same law as removing one random slip at
+    a time. The result has between 1 and r elements set, none of weight 0.
     """
-    total = weights.total
+    cums = list(itertools.accumulate(mu))
+    total = cums[-1] if cums else 0
     if not 1 <= r <= total:
         raise ValueError(f"sample size {r} outside [1, {total}]")
     chosen: set[int] = set()
@@ -116,7 +89,6 @@ def weighted_sample(weights: WeightMap, r: int, rng: random.Random) -> int:
             chosen.add(j)
         else:
             chosen.add(t)
-    cums = list(itertools.accumulate(weights.mu))
     mask = 0
     for slip in chosen:
         mask |= 1 << bisect.bisect_right(cums, slip)
@@ -160,7 +132,7 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
         return SolveResult(find_basis(space, space.ground), _DELEGATED)
 
     rng = random.Random(spawn(seed, 0))
-    sample = weighted_sample(WeightMap.unit(n), r, rng)
+    sample = weighted_sample([1] * n, r, rng)
     if inner == "bfa":
         step = space.violators
     else:
@@ -197,13 +169,16 @@ def _doubling_rounds(space: ViolatorSpace, support: int, seed: int, r: int, roun
     Weights start at 1 on the support and 0 off it, so every sample lies
     in the support. V(R) is V of every basis of R by locality, so a round
     searches for no basis."""
-    weights = WeightMap._indicator(space.n, support)
+    mu = _indicator(space.n, support)
+    total = support.bit_count()
     rng = random.Random(spawn(seed, 0))
     for _ in range(rounds):
-        sample = weighted_sample(weights, r, rng)
+        sample = weighted_sample(mu, r, rng)
         v = space.violators(sample) & support
-        weights.double(v)
-        yield RoundRecord(sample=sample, violators=v, weight_total=weights.total)
+        for i in elements(v):
+            total += mu[i]
+            mu[i] *= 2
+        yield RoundRecord(sample=sample, violators=v, weight_total=total)
 
 
 def swiss_algorithm(space: ViolatorSpace, seed: int, c: float = 2.0) -> SolveResult:

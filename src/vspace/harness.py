@@ -380,7 +380,7 @@ def composite_experiment(space: ViolatorSpace) -> dict:
     base_nondeg = is_nondegenerate(space) if check_axioms(space).ok else None
     inherited = is_nondegenerate(tab) if base_nondeg else None
 
-    sampling = verify_sampling_lemma(tab, d=bound_d) if n <= SAMPLING_STATS_LIMIT else None
+    sampling = verify_sampling_lemma(tab, d=bound_d)
 
     metrics = [
         {"name": "composite axioms", "measured": bool(tab.axiom_report.ok),
@@ -393,10 +393,9 @@ def composite_experiment(space: ViolatorSpace) -> dict:
     if base_nondeg:
         metrics.append({"name": "nondegeneracy inherited", "measured": bool(inherited),
                         "bound": True, "pass": bool(inherited)})
-    if sampling is not None:
-        metrics.append({"name": "sampling identity and corollary on composite",
-                        "measured": bool(sampling.ok), "bound": True,
-                        "pass": bool(sampling.ok)})
+    metrics.append({"name": "sampling identity and corollary on composite",
+                    "measured": bool(sampling.ok), "bound": True,
+                    "pass": bool(sampling.ok)})
     return {
         "experiment": "composite",
         "config": {"n": n, "d": d, "dim_bound": bound_d},

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vspace import algorithms
 from vspace.algorithms import (
     SolverStall,
-    WeightMap,
+    _indicator,
     _swiss,
     default_safety_cap,
     german_algorithm,
@@ -27,35 +28,26 @@ from vspace.subsets import elements, full_mask
 from conftest import RecordingHandle, RestrictedSpace, compress, expand, peel_elements
 
 
-def test_weightmap_basics():
-    w = WeightMap.unit(4)
-    assert w.total == 4 and w.mu == [1, 1, 1, 1]
-    w.double(0b1010)
-    assert w.mu == [1, 2, 1, 2]
-    assert w.total == 6
-    w.double(0b0010)
-    assert w.mu == [1, 4, 1, 2]
-    assert w.total == 8
-    assert WeightMap.unit(0).total == 0
-    w = WeightMap.unit(3000)
-    assert w.mu == [1] * 3000 and w.total == 3000
-
-
-def test_weightmap_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        WeightMap([1, 0])
-    with pytest.raises(ValueError):
-        WeightMap([1, 1.5])
+def test_indicator_basics():
+    assert _indicator(4, 0b1111) == [1, 1, 1, 1]
+    assert _indicator(4, 0b1010) == [0, 1, 0, 1]
+    assert _indicator(4, 0) == [0, 0, 0, 0]
+    assert _indicator(0, 0) == []
+    assert _indicator(3000, full_mask(3000)) == [1] * 3000
 
 
 def test_weighted_sample_bounds():
-    w = WeightMap.unit(3)
     rng = random.Random(0)
     with pytest.raises(ValueError):
-        weighted_sample(w, 0, rng)
+        weighted_sample([1, 1, 1], 0, rng)
     with pytest.raises(ValueError):
-        weighted_sample(w, 4, rng)
-    assert weighted_sample(w, 3, rng) == 0b111
+        weighted_sample([1, 1, 1], 4, rng)
+    with pytest.raises(ValueError):
+        weighted_sample([], 1, rng)
+    with pytest.raises(ValueError):
+        weighted_sample([0, 0], 1, rng)
+    assert weighted_sample([1, 1, 1], 3, rng) == 0b111
+    assert weighted_sample([0, 3, 0], 2, rng) == 0b010
 
 
 def test_weighted_sample_exact_law():
@@ -66,8 +58,7 @@ def test_weighted_sample_exact_law():
     counts = Counter()
     trials = 30000
     for _ in range(trials):
-        w = WeightMap([2, 1])
-        counts[weighted_sample(w, 2, rng)] += 1
+        counts[weighted_sample([2, 1], 2, rng)] += 1
     assert set(counts) == {0b01, 0b11}
     assert abs(counts[0b01] / trials - 1 / 3) < 0.02
     assert abs(counts[0b11] / trials - 2 / 3) < 0.02
@@ -79,7 +70,7 @@ def test_weighted_sample_uniform_matches_subsets():
     counts = Counter()
     trials = 30000
     for _ in range(trials):
-        counts[weighted_sample(WeightMap.unit(4), 2, rng)] += 1
+        counts[weighted_sample([1] * 4, 2, rng)] += 1
     assert len(counts) == 6
     for mask, c in counts.items():
         assert mask.bit_count() == 2
@@ -87,19 +78,25 @@ def test_weighted_sample_uniform_matches_subsets():
 
 
 @settings(max_examples=100)
-@given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=8),
+@given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8),
        st.integers(min_value=1, max_value=40), st.integers(0, 2 ** 32))
 def test_weighted_sample_properties(mu, r, seed):
-    w = WeightMap(mu)
-    if r > w.total:
+    if r > sum(mu):
         return
-    mask = weighted_sample(w, r, random.Random(seed))
+    mask = weighted_sample(mu, r, random.Random(seed))
     assert mask != 0
     assert mask & ~full_mask(len(mu)) == 0
+    assert all(mu[i] for i in elements(mask))
     assert mask.bit_count() <= r
     if all(x == 1 for x in mu):
         assert mask.bit_count() == r
 
+
+def double(mu, mask):
+    """The doubling ledger, independent of the solvers' loop: double mu at
+    every bit peeled off mask."""
+    for i in peel_elements(mask):
+        mu[i] *= 2
 
 
 def test_weighted_sample_on_a_support_is_the_dense_sample_expanded():
@@ -108,26 +105,25 @@ def test_weighted_sample_on_a_support_is_the_dense_sample_expanded():
     # the sample is the dense one placed at the support's positions, drawn
     # with the same rng calls, and no zero-weight element is ever drawn.
     # Widths in the thousands (some with the full support) and n = 0 check
-    # _indicator and double on masks many machine words wide.
+    # _indicator on masks many machine words wide.
     rng = random.Random(16)
     for n in [*(rng.randint(1, 40) for _ in range(400)), 0,
               *(rng.randint(1000, 4000) for _ in range(8))]:
         support = rng.getrandbits(n) | 1 << rng.randrange(n) if n else 0
         if rng.random() < 0.1:
             support = full_mask(n)
-        sparse = WeightMap._indicator(n, support)
-        assert sparse.mu == [support >> i & 1 for i in range(n)]
-        dense = WeightMap.unit(support.bit_count())
+        sparse = _indicator(n, support)
+        assert sparse == [support >> i & 1 for i in range(n)]
+        dense = [1] * support.bit_count()
         for _ in range(rng.randint(0, 6)):
             v = rng.getrandbits(n) & support
-            sparse.double(v)
-            dense.double(compress(v, support))
-        assert sparse.total == dense.total
-        assert [sparse.mu[i] for i in elements(support)] == dense.mu
-        assert all(w == 0 for i, w in enumerate(sparse.mu) if not support >> i & 1)
+            double(sparse, v)
+            double(dense, compress(v, support))
+        assert [sparse[i] for i in elements(support)] == dense
+        assert all(w == 0 for i, w in enumerate(sparse) if not support >> i & 1)
         if not support:
             continue
-        r = rng.randint(1, min(dense.total, 3000))
+        r = rng.randint(1, min(sum(dense), 3000))
         seed = rng.getrandbits(32)
         a, b = random.Random(seed), random.Random(seed)
         got = weighted_sample(sparse, r, a)
@@ -233,7 +229,7 @@ def basis_per_round_german(space, seed, inner="bfa"):
     d = resolve_dimension(space)
     n = space.n
     r = german_sample_size(d, n)
-    g = weighted_sample(WeightMap.unit(n), r, random.Random(spawn(seed, 0)))
+    g = weighted_sample([1] * n, r, random.Random(spawn(seed, 0)))
     rounds = []
     for calls in range(1, d + 2):
         if inner == "bfa":
@@ -301,6 +297,35 @@ def test_solvers_match_their_oracles_on_20000_planar_points():
         assert rec.weight_total == sum(1 << c for c in doublings)
     assert res.trace.final_weights == tuple(1 << c for c in doublings)
     assert res.trace.terminated_cleanly and space.violators(res.basis) == 0
+
+
+def test_solvers_sample_through_the_module_global(monkeypatch):
+    # A wrapper set on vspace.algorithms.weighted_sample (the benchmark's
+    # tracer sets one) must see every sample a solver draws: German's
+    # first sample, and one per round of every swiss run, inner ones
+    # included, that does not delegate.
+    space = SebSpace(generate("uniform-square", {"n": 1000, "dim": 2}, 23))
+    seed = 7
+    swiss_rounds = len(swiss_algorithm(space, seed).trace.rounds)
+    german = german_algorithm(space, seed, inner="sa").trace.rounds
+    inner_rounds = [len(_swiss(space, rec.sample, spawn(seed, i), 2.0).trace.rounds)
+                    for i, rec in enumerate(german, 1)]
+    assert swiss_rounds > 1 and all(inner_rounds)
+    calls = []
+    real = algorithms.weighted_sample
+
+    def counting(mu, r, rng):
+        calls.append(r)
+        return real(mu, r, rng)
+
+    monkeypatch.setattr(algorithms, "weighted_sample", counting)
+    for run, expected in [(lambda: german_algorithm(space, seed, inner="bfa"), 1),
+                          (lambda: swiss_algorithm(space, seed), swiss_rounds),
+                          (lambda: german_algorithm(space, seed, inner="sa"),
+                           1 + sum(inner_rounds))]:
+        calls.clear()
+        run()
+        assert len(calls) == expected
 
 
 def _assert_inner_sa_asks_like_the_oracle(fresh, seeds):
@@ -391,18 +416,18 @@ def basis_per_round_swiss(space, seed, rounds, stop=True):
     with stop, the rounds end at the first one without violators."""
     n = space.n
     r = swiss_sample_size(resolve_dimension(space), n)
-    weights = WeightMap.unit(n)
+    mu = [1] * n
     rng = random.Random(spawn(seed, 0))
     out = []
     for _ in range(rounds):
-        sample = weighted_sample(weights, r, rng)
+        sample = weighted_sample(mu, r, rng)
         b = find_basis(space, sample)
         v = space.violators(b)
-        weights.double(v)
-        out.append((sample, v, weights.total))
+        double(mu, v)
+        out.append((sample, v, sum(mu)))
         if stop and v == 0:
             break
-    return out, tuple(weights.mu), b
+    return out, tuple(mu), b
 
 
 def _assert_swiss_matches_oracle(space, seeds, forever_seeds, forever_rounds=8):
