@@ -24,11 +24,13 @@ import random
 from dataclasses import dataclass
 
 from .core import (
-    RoundRecord,
+    DoublingTrace,
+    GrowthTrace,
     RunTrace,
     ViolatorSpace,
     find_basis,
     growth_rounds,
+    pack_samples,
     resolve_dimension,
 )
 from .seeding import spawn
@@ -57,17 +59,18 @@ def _indicator(n: int, support: int) -> list[int]:
 class SolveResult:
     basis: int
     trace: RunTrace
-    # Rounds (german and swiss), 1 for a delegated run. Read off the trace
-    # when left at 0; a field, not a property, so dataclasses.replace sets it.
+    # Rounds (german and swiss), 1 for a delegated run. Read off the length
+    # of the trace's violators column when left at 0, which builds no round
+    # record; a field, not a property, so dataclasses.replace sets it.
     calls: int = 0
 
     def __post_init__(self):
         if not self.calls:
-            object.__setattr__(self, "calls", max(1, len(self.trace.rounds)))
+            object.__setattr__(self, "calls", max(1, len(self.trace.violators)))
 
 
 # The trace of a run that hands the whole ground set to find_basis.
-_DELEGATED = RunTrace(rounds=(), terminated_cleanly=True, delegated=True)
+_DELEGATED = GrowthTrace(start=0, violators=(), terminated_cleanly=True, delegated=True)
 
 
 def weighted_sample(mu: list[int], r: int, rng: random.Random) -> int:
@@ -142,14 +145,14 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
             bases.append(_swiss(space, g, spawn(seed, len(bases) + 1), 2.0).basis)
             return space.violators(bases[-1])
 
-    recs: list[RoundRecord] = []
+    vs: list[int] = []
 
     def trace(clean: bool) -> RunTrace:
-        return RunTrace(rounds=tuple(recs), terminated_cleanly=clean)
+        return GrowthTrace(start=sample, violators=tuple(vs), terminated_cleanly=clean)
 
     try:
         for rec in itertools.islice(growth_rounds(sample, step), d + 1):
-            recs.append(rec)
+            vs.append(rec.violators)
             if rec.violators == 0:
                 basis = find_basis(space, rec.sample) if inner == "bfa" else bases[-1]
                 return SolveResult(basis, trace(True))
@@ -163,22 +166,32 @@ def default_safety_cap(d: int, n: int) -> int:
     return math.ceil(64 * (d + 1) * (math.log2(max(n, 2)) + 1))
 
 
-def _doubling_rounds(space: ViolatorSpace, support: int, seed: int, r: int, rounds: int):
-    """Lazily yield up to `rounds` rounds of: weighted sample R of r slips,
-    its violators in the support V(R) & support, double their weights.
-    Weights start at 1 on the support and 0 off it, so every sample lies
-    in the support. V(R) is V of every basis of R by locality, so a round
-    searches for no basis."""
+def _doubling_rounds(space: ViolatorSpace, support: int, seed: int, r: int, rounds: int,
+                     stop: bool) -> tuple[DoublingTrace, int]:
+    """Up to `rounds` rounds of: weighted sample R of r slips, its
+    violators in the support V(R) & support, double their weights; with
+    stop, the rounds end at the first one without violators. Weights start
+    at 1 on the support and 0 off it, so every sample lies in the support.
+    V(R) is V of every basis of R by locality, so a round searches for no
+    basis. Returns the trace, which ends cleanly when its last round (if
+    any) has no violators, and the last sample (0 without rounds)."""
     mu = _indicator(space.n, support)
-    total = support.bit_count()
     rng = random.Random(spawn(seed, 0))
+    samples: list[int] = []
+    vs: list[int] = []
     for _ in range(rounds):
         sample = weighted_sample(mu, r, rng)
         v = space.violators(sample) & support
         for i in elements(v):
-            total += mu[i]
             mu[i] *= 2
-        yield RoundRecord(sample=sample, violators=v, weight_total=total)
+        samples.append(sample)
+        vs.append(v)
+        if stop and v == 0:
+            break
+    trace = DoublingTrace(samples=pack_samples(samples, space.n), violators=tuple(vs),
+                          terminated_cleanly=not vs or vs[-1] == 0, ground_size=space.n,
+                          slips=r, start_weight=support.bit_count())
+    return trace, samples[-1] if samples else 0
 
 
 def swiss_algorithm(space: ViolatorSpace, seed: int, c: float = 2.0) -> SolveResult:
@@ -210,16 +223,10 @@ def _swiss(space: ViolatorSpace, support: int, seed: int, c: float) -> SolveResu
         return SolveResult(find_basis(space, support), _DELEGATED)
 
     cap = default_safety_cap(d, n)
-    recs: list[RoundRecord] = []
-    for rec in _doubling_rounds(space, support, seed, r, cap):
-        recs.append(rec)
-        if rec.violators == 0:
-            break
-    clean = bool(recs) and recs[-1].violators == 0
-    trace = RunTrace(rounds=tuple(recs), terminated_cleanly=clean, ground_size=space.n, slips=r)
-    if not clean:
+    trace, last = _doubling_rounds(space, support, seed, r, cap, stop=True)
+    if not trace.terminated_cleanly:
         raise SolverStall(f"no violator-free basis within {cap} rounds", trace)
-    return SolveResult(find_basis(space, recs[-1].sample), trace)
+    return SolveResult(find_basis(space, last), trace)
 
 
 def sa_forever(space: ViolatorSpace, seed: int, max_rounds: int,
@@ -238,6 +245,4 @@ def sa_forever(space: ViolatorSpace, seed: int, max_rounds: int,
     r = swiss_sample_size(d, n, c)
     if r >= n:
         raise ValueError(f"sample size r={r} must be below n={n} for round estimation")
-    recs = tuple(_doubling_rounds(space, space.ground, seed, r, max_rounds))
-    clean = not recs or recs[-1].violators == 0
-    return RunTrace(rounds=recs, terminated_cleanly=clean, ground_size=n, slips=r)
+    return _doubling_rounds(space, space.ground, seed, r, max_rounds, stop=False)[0]

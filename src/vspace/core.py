@@ -20,6 +20,7 @@ integer arithmetic; the table pass holds masks below 2^20 in int64.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,28 +135,107 @@ class RoundRecord:
         return self.sample | self.violators
 
 
-@dataclass(frozen=True, slots=True)
 class RunTrace:
-    """The rounds of a run, in order. A weight-doubling run also keeps its
-    n and its slips per round r once, since all its rounds share them."""
+    """The rounds of a run, in order, kept as columns.
 
-    rounds: tuple[RoundRecord, ...]
-    terminated_cleanly: bool
-    delegated: bool = False
-    ground_size: int | None = None     # n of a weight-doubling run, else None
-    slips: int | None = None           # r of a weight-doubling run, else None
+    Every trace stores the violator mask of each round (`violators`) and
+    derives the rest; `rounds` builds the RoundRecords on each access. A
+    trace is a GrowthTrace (german, composite iteration, delegated runs)
+    or a DoublingTrace (weight-doubling runs), which also keeps its n
+    (`ground_size`) and its slips per round r (`slips`) once, since all
+    its rounds share them; both are None on a GrowthTrace.
+    """
+
+    __slots__ = ()
 
     @property
     def final_weights(self) -> tuple[int, ...] | None:
         """Weights after a weight-doubling run: element e ends at 2^k, k the
         number of rounds whose violators hold e. None for other runs."""
-        if self.ground_size is None:
-            return None
+        return None
+
+
+@dataclass(frozen=True, slots=True)
+class GrowthTrace(RunTrace):
+    """Rounds of G <- G | V(G) from G = start: round i's sample is start
+    OR'd with the violators of the rounds before it."""
+
+    start: int
+    violators: tuple[int, ...]
+    terminated_cleanly: bool
+    delegated: bool = False
+    ground_size = None
+    slips = None
+
+    @property
+    def rounds(self) -> tuple[RoundRecord, ...]:
+        g, recs = self.start, []
+        for v in self.violators:
+            recs.append(RoundRecord(sample=g, violators=v))
+            g |= v
+        return tuple(recs)
+
+
+@dataclass(frozen=True, slots=True)
+class DoublingTrace(RunTrace):
+    """Rounds of a weight-doubling run: the samples packed by pack_samples,
+    and the total weight before the first round (n, or |support| for a run
+    confined to a support). A round's weight_total adds 2^k for each of
+    its violators, k the element's doublings in earlier rounds."""
+
+    samples: bytes
+    violators: tuple[int, ...]
+    terminated_cleanly: bool
+    ground_size: int
+    slips: int
+    start_weight: int
+    delegated = False
+
+    @property
+    def rounds(self) -> tuple[RoundRecord, ...]:
         doublings = [0] * self.ground_size
-        for rec in self.rounds:
-            for e in elements(rec.violators):
+        total, recs = self.start_weight, []
+        for sample, v in zip(unpack_samples(self.samples, self.ground_size), self.violators):
+            for e in elements(v):
+                total += 1 << doublings[e]
+                doublings[e] += 1
+            recs.append(RoundRecord(sample=sample, violators=v, weight_total=total))
+        return tuple(recs)
+
+    @property
+    def final_weights(self) -> tuple[int, ...]:
+        doublings = [0] * self.ground_size
+        for v in self.violators:
+            for e in elements(v):
                 doublings[e] += 1
         return tuple(1 << k for k in doublings)
+
+
+def _index_code(n: int) -> str:
+    """array typecode of an element index below n: uint16 up to 2^16, else 32 bits."""
+    return "H" if n <= 1 << 16 else "I"
+
+
+def pack_samples(masks, n: int) -> bytes:
+    """The masks over 0..n-1 as one bytes: each one's size, then its
+    elements in ascending order, all in the fixed-width code of n."""
+    out = array(_index_code(n))
+    for m in masks:
+        idx = elements(m)
+        out.append(len(idx))
+        out.extend(idx)
+    return out.tobytes()
+
+
+def unpack_samples(data: bytes, n: int) -> list[int]:
+    """The masks that pack_samples(masks, n) packed into data."""
+    idx = array(_index_code(n), data)
+    masks, i = [], 0
+    while i < len(idx):
+        k = idx[i]
+        masks.append(mask_of(idx[i + 1:i + 1 + k]))
+        i += 1 + k
+    return masks
 
 
 def check_axioms(space: ViolatorSpace) -> AxiomReport:
@@ -454,15 +534,16 @@ def composite_rounds(space: ViolatorSpace, subset: int) -> RunTrace:
     the working set its violator set is empty.
     """
     d = resolve_dimension(space)
-    recs = tuple(itertools.islice(growth_rounds(subset, space.violators), d))
-    clean = not recs or recs[-1].violators == 0
-    return RunTrace(rounds=recs, terminated_cleanly=clean)
+    vs = tuple(rec.violators for rec in itertools.islice(growth_rounds(subset, space.violators), d))
+    clean = not vs or vs[-1] == 0
+    return GrowthTrace(start=subset, violators=vs, terminated_cleanly=clean)
 
 
 def composite_violators(space: ViolatorSpace, subset: int) -> int:
     """Elements pulled in by d rounds of G <- G | V(G), minus the start."""
-    trace = composite_rounds(space, subset)
-    g = trace.rounds[-1].working if trace.rounds else subset
+    g = subset
+    for v in composite_rounds(space, subset).violators:
+        g |= v
     return g & ~subset
 
 

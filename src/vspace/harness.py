@@ -368,10 +368,9 @@ def composite_experiment(space: ViolatorSpace) -> dict:
 
     forms_ok = True
     for g in range(1 << n):
-        trace = composite_rounds(space, g)
         union = 0
-        for rec in trace.rounds:
-            union |= rec.violators
+        for v in composite_rounds(space, g).violators:
+            union |= v
         if tab.table[g] != union & ~g:
             forms_ok = False
             break

@@ -255,6 +255,8 @@ def _circumsphere(bpts):
     b0 = bpts[0]
     if len(bpts) == 1:
         return b0, 0.0
+    if len(b0) == 2 and len(bpts) <= 3:
+        return _circle(bpts)
     diffs = [tuple(x - y for x, y in zip(p, b0)) for p in bpts[1:]]
     k = len(diffs)
     rhs = [_dot(d, d) for d in diffs]
@@ -274,6 +276,62 @@ def _circumsphere(bpts):
     if not math.isfinite(r2) or not all(map(math.isfinite, center)):
         return None
     return tuple(center), r2
+
+
+def _circle(bpts):
+    """_circumsphere of 2 or 3 planar points, unrolled.
+
+    The float operations are the generic path's, in its order: the dot
+    products start from 0.0, the Gram diagonal is 2 * rhs, the pivot floor
+    is 1e-12 times the largest |Gram entry| (the mirrored entry listed
+    once, which cannot change a max), the elimination swaps rows when
+    |g01| > |g00| and skips a zero factor, and back substitution runs from
+    the last row. So the center, r^2 and every None are the generic
+    path's, bit for bit. r^2 is finite only if both center coordinates
+    are, since b0 is finite.
+    """
+    (x0, y0), (x1, y1) = bpts[0], bpts[1]
+    ax = x1 - x0
+    ay = y1 - y0
+    r0 = 0.0 + ax * ax + ay * ay
+    g00 = 2.0 * r0
+    if len(bpts) == 2:
+        if abs(g00) <= abs(g00) * 1e-12:
+            return None
+        l0 = r0 / g00
+        c0 = x0 + l0 * ax
+        c1 = y0 + l0 * ay
+    else:
+        x2, y2 = bpts[2]
+        bx = x2 - x0
+        by = y2 - y0
+        r1 = 0.0 + bx * bx + by * by
+        g01 = 2.0 * (0.0 + ax * bx + ay * by)
+        g11 = 2.0 * r1
+        # Rows (p0, p1 | p2) and (q0, q1 | q2), the pivot row first.
+        if abs(g01) > abs(g00):
+            p0, p1, p2, q0, q1, q2 = g01, g11, r1, g00, g01, r0
+        else:
+            p0, p1, p2, q0, q1, q2 = g00, g01, r0, g01, g11, r1
+        floor = max(abs(g00), abs(g01), abs(g11)) * 1e-12
+        if abs(p0) <= floor:
+            return None
+        f = q0 * (1.0 / p0)
+        if f:
+            q1 -= f * p1
+            q2 -= f * p2
+        if abs(q1) <= floor:
+            return None
+        l1 = q2 / q1
+        l0 = (p2 - p1 * l1) / p0
+        c0 = x0 + l0 * ax + l1 * bx
+        c1 = y0 + l0 * ay + l1 * by
+    t0 = c0 - x0
+    t1 = c1 - y0
+    r2 = 0.0 + t0 * t0 + t1 * t1
+    if not math.isfinite(r2):
+        return None
+    return (c0, c1), r2
 
 
 def _ball_with_boundary(bpts, tol: float, dim: int):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from vspace.algorithms import weighted_sample
 from vspace.core import FuncSpace, ViolatorSpace, check_axioms, extreme_elements, is_basis
 from vspace.fixtures import (
     empty_violators_space,
@@ -17,7 +18,7 @@ from vspace.fixtures import (
 from vspace.harness import SamplingStats
 from vspace.hypercube import partition_to_space, random_partition
 from vspace.instances import (ExplicitSpace, SebSpace, _ball_with_boundary, _circumsphere,
-                              _dist2, _dot, generate, make_seb, tabulate)
+                              _dist2, _dot, _solve_linear, generate, make_seb, tabulate)
 from vspace.seeding import spawn
 from vspace.subsets import elements, full_mask, iter_by_size_then_value, iter_size_k_submasks
 
@@ -315,6 +316,73 @@ def full_gram_circumsphere(bpts):
     if not math.isfinite(r2) or not all(map(math.isfinite, center)):
         return None
     return tuple(center), r2
+
+
+def generic_circumsphere(bpts):
+    """Oracle for instances._circle: the generic circumsphere of every
+    dimension, each Gram entry computed once and mirrored below the
+    diagonal, solved by instances._solve_linear."""
+    b0 = bpts[0]
+    if len(bpts) == 1:
+        return b0, 0.0
+    diffs = [tuple(x - y for x, y in zip(p, b0)) for p in bpts[1:]]
+    k = len(diffs)
+    rhs = [_dot(d, d) for d in diffs]
+    gram = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        gram[i][i] = 2.0 * rhs[i]
+        for j in range(i + 1, k):
+            gram[i][j] = gram[j][i] = 2.0 * _dot(diffs[i], diffs[j])
+    lam = _solve_linear(gram, rhs)
+    if lam is None:
+        return None
+    center = list(b0)
+    for li, dvec in zip(lam, diffs):
+        for t, dt in enumerate(dvec):
+            center[t] += li * dt
+    r2 = _dist2(center, b0)
+    if not math.isfinite(r2) or not all(map(math.isfinite, center)):
+        return None
+    return tuple(center), r2
+
+
+def eager_growth_replay(start, step, rounds, stop):
+    """Oracle for GrowthTrace.rounds: the (sample, violators, weight_total)
+    of up to `rounds` rounds of G <- G | step(G) from G = start, built
+    round by round as the solvers once stored them; weight_total is None.
+    With stop, the rounds end at the first one without violators."""
+    out, g = [], start
+    for _ in range(rounds):
+        v = step(g)
+        out.append((g, v, None))
+        if stop and v == 0:
+            break
+        g |= v
+    return out
+
+
+def eager_doubling_replay(space, support, seed, r, rounds, stop):
+    """Oracle for DoublingTrace.rounds and final_weights: the weight-doubling
+    loop with its running total, weights 1 on the support and 0 off it.
+    Returns the (sample, violators, weight_total) of every round and the
+    final weights, 2^k for k the doublings of each of the handle's n
+    elements. With stop, the rounds end at the first one without violators."""
+    mu = [support >> i & 1 for i in range(space.n)]
+    doublings = [0] * space.n
+    total = support.bit_count()
+    rng = random.Random(spawn(seed, 0))
+    out = []
+    for _ in range(rounds):
+        sample = weighted_sample(mu, r, rng)
+        v = space.violators(sample) & support
+        for i in peel_elements(v):
+            total += mu[i]
+            mu[i] *= 2
+            doublings[i] += 1
+        out.append((sample, v, total))
+        if stop and v == 0:
+            break
+    return out, tuple(1 << k for k in doublings)
 
 
 def row_sum_outside(space: SebSpace, ball) -> int:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vspace import algorithms
+from vspace import algorithms, core
 from vspace.algorithms import (
+    SolveResult,
     SolverStall,
     _indicator,
     _swiss,
@@ -25,7 +26,15 @@ from vspace.instances import SebSpace, generate, make_seb
 from vspace.seeding import spawn
 from vspace.subsets import elements, full_mask
 
-from conftest import RecordingHandle, RestrictedSpace, compress, expand, peel_elements
+from conftest import (
+    RecordingHandle,
+    RestrictedSpace,
+    compress,
+    eager_doubling_replay,
+    eager_growth_replay,
+    expand,
+    peel_elements,
+)
 
 
 def test_indicator_basics():
@@ -456,6 +465,86 @@ def test_swiss_matches_basis_per_round_oracle_on_roster(roster, key):
 def test_swiss_matches_basis_per_round_oracle_on_clouds(points):
     space = SebSpace(make_seb(points))
     _assert_swiss_matches_oracle(space, range(4), range(2))
+
+
+def _rounds(trace):
+    return [(rec.sample, rec.violators, rec.weight_total) for rec in trace.rounds]
+
+
+def _german_replay(space, seed, inner):
+    d, n = resolve_dimension(space), space.n
+    start = weighted_sample([1] * n, german_sample_size(d, n), random.Random(spawn(seed, 0)))
+    step = space.violators
+    if inner == "sa":
+        inner_seeds = iter(range(1, d + 2))
+
+        def step(g):
+            return space.violators(_swiss(space, g, spawn(seed, next(inner_seeds)), 2.0).basis)
+    return eager_growth_replay(start, step, d + 1, stop=True)
+
+
+def test_trace_columns_rebuild_the_eager_rounds(roster):
+    # A trace keeps its violators and derives the rest: every solver's
+    # rounds and final weights must be those of the eager replay, which
+    # builds (sample, violators, weight_total) round by round.
+    clouds = dict(_german_clouds())
+    spaces = [roster[key] for key in GA_KEYS] + [SebSpace(make_seb(clouds[key]))
+                                                 for key in ("planar200", "doubled60-d2")]
+    for space in spaces:
+        d, n = resolve_dimension(space), space.n
+        r = swiss_sample_size(d, n)
+        for seed in range(6):
+            for inner in ("bfa", "sa"):
+                tr = german_algorithm(space, seed, inner).trace
+                assert tr.final_weights is None
+                if not tr.delegated:
+                    assert _rounds(tr) == _german_replay(space, seed, inner)
+            if r >= n:
+                continue
+            runs = [(swiss_algorithm(space, seed).trace, default_safety_cap(d, n), True),
+                    (sa_forever(space, seed, 12), 12, False)]
+            for tr, rounds, stop in runs:
+                want, weights = eager_doubling_replay(space, space.ground, seed, r, rounds, stop)
+                assert _rounds(tr) == want
+                assert tr.final_weights == weights
+
+
+def test_confined_swiss_trace_starts_at_the_support_size():
+    # Off the support the weights are 0, so the total before the first
+    # round is |support|, not n.
+    space = SebSpace(generate("uniform-square", {"n": 80, "dim": 2}, 23))
+    d = resolve_dimension(space)
+    support = sum(1 << i for i in random.Random(24).sample(range(80), 40))
+    r, cap = swiss_sample_size(d, 40), default_safety_cap(d, 40)
+    for seed in range(10):
+        tr = _swiss(space, support, seed, 2.0).trace
+        want, weights = eager_doubling_replay(space, support, seed, r, cap, stop=True)
+        assert (tr.start_weight, tr.ground_size, tr.slips) == (40, 80, r)
+        assert _rounds(tr) == want
+        assert tr.final_weights == weights
+
+
+def test_solve_result_calls_builds_no_round_record(monkeypatch):
+    # SolveResult reads its round count off the violators column; only
+    # trace.rounds builds records.
+    space = SebSpace(generate("uniform-square", {"n": 400, "dim": 2}, 25))
+    small = SebSpace(make_seb(space.instance.points[:5]))
+    traces = [german_algorithm(space, 3, "bfa").trace, german_algorithm(space, 3, "sa").trace,
+              swiss_algorithm(space, 3).trace, german_algorithm(small, 3).trace]
+    lengths = [len(tr.rounds) for tr in traces]
+    assert traces[-1].delegated and lengths[-1] == 0 and min(lengths[:-1]) > 0
+    built = []
+    real = core.RoundRecord
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(core, "RoundRecord", counting)
+    assert [SolveResult(0, tr).calls for tr in traces] == [max(1, k) for k in lengths]
+    assert swiss_algorithm(space, 4).calls > 1
+    assert built == []
+    assert len(traces[2].rounds) == lengths[2] == len(built)
 
 
 def test_swiss_sample_sizes(roster):

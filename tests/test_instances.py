@@ -33,7 +33,7 @@ from vspace.instances import (
     seb_violators,
     tabulate,
 )
-from vspace.subsets import full_mask
+from vspace.subsets import full_mask, mask_of
 
 import conftest
 from conftest import (
@@ -42,6 +42,7 @@ from conftest import (
     full_gram_circumsphere,
     full_gram_solve_linear,
     generic_ball,
+    generic_circumsphere,
     index_order_violators,
     none_state_ball,
     plain_find_basis,
@@ -491,6 +492,61 @@ def test_circumsphere_matches_the_full_gram_bit_for_bit(dim):
             assert _hex(instances._circumsphere(bpts)) == _hex(want), bpts
             solved += want is not None
     assert solved > 0
+
+
+CIRCLE_SCALES = (1e-300, 1e-160, 1.0, 1e150, 1e300, 1e308)
+
+
+def _planar_boundaries(k: int, rng: np.random.Generator):
+    """k-point planar boundaries: random, scaled by magnitudes from 1e-300
+    to 1e308 (where the generic path overflows to None), with duplicates,
+    on a line, from +-0.0 and +-1, and from EXTREMES."""
+    for _ in range(1500):
+        yield rng.random((k, 2))
+        yield (rng.random((k, 2)) * 2.0 - 1.0) * rng.choice(CIRCLE_SCALES)
+        yield rng.random((k, 2))[rng.integers(0, k - 1, k)]
+        base, u = rng.random((2, 2))
+        yield base + rng.integers(-3, 4, k)[:, None] * u
+        yield rng.choice((0.0, -0.0, 1.0, -1.0), (k, 2))
+        yield rng.choice(EXTREMES, (k, 2))
+
+
+def test_planar_circle_matches_the_generic_path_bit_for_bit():
+    # The unrolled planar circumsphere must make the generic path's float
+    # operations: the same center and r^2 by repr (which tells -0.0 from
+    # 0.0), and None in the same cases, both against the generic body and
+    # against the full Gram matrix.
+    rng = np.random.default_rng(350)
+    solved = none = 0
+    for k in (2, 3):
+        for pts in _planar_boundaries(k, rng):
+            bpts = [tuple(row) for row in pts.tolist()]
+            want = repr(generic_circumsphere(bpts))
+            assert repr(instances._circle(bpts)) == want, bpts
+            assert repr(instances._circumsphere(bpts)) == want, bpts
+            assert repr(full_gram_circumsphere(bpts)) == want, bpts
+            solved += want != "None"
+            none += want == "None"
+    assert solved > 7_000 and none > 7_000
+
+
+def test_seb_space_matches_the_generic_circumsphere_on_degenerate_clouds(monkeypatch):
+    # On every subset of the doubled and the grid planar cloud, violators,
+    # extreme_candidates and violator_table must equal what the generic
+    # move-to-front loop gives when every boundary goes through the
+    # generic circumsphere instead of the unrolled one.
+    for pts in list(_clouds(2, 102))[1:3]:
+        space = SebSpace(make_seb(pts))
+        subsets = range(1 << space.n)
+        got = [(space.violators(g), space.extreme_candidates(g)) for g in subsets]
+        table = space.violator_table()
+        with monkeypatch.context() as patch:
+            patch.setattr(instances, "_circumsphere", generic_circumsphere)
+            for g in subsets:
+                hits = []
+                outside = row_sum_outside(space, generic_ball(space, g, hits))
+                assert got[g] == (outside & ~g, outside & g | mask_of(hits)), hex(g)
+                assert table[g] == outside & ~g, hex(g)
 
 
 def test_solve_linear_matches_the_generator_scale():
