@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Microseconds per SebSpace.violators call and per step of one, by size and dimension.
+"""Microseconds and recursion nodes per SebSpace.violators call, and
+microseconds per step of one, by size and dimension.
 
 For each dimension (2 and 3) and subset size (16, 50 and 400), the script
 asks V of random subsets of seeded uniform clouds of 1024 points, one
@@ -13,7 +14,12 @@ points of a cloud, by k, and "scan" is one outside mask
 (SebSpace._outside) of a ball the handle has not scanned before, on
 clouds of 60, 400 and 1024 points. A pass makes every call once; the
 table shows, over the passes, the median and the spread of a pass's mean
-time per call. Compare two checkouts by running the script against each:
+time per call. The "nodes" column of the cold and loo rows counts the
+miniball recursion's nodes per call: 1 + the points that set off a
+recursion (the hits the call leaves in the handle), for each call that
+evaluates a ball. It is deterministic, so two checkouts that read the
+same nodes made the same recursion. Compare two checkouts by running the
+script against each:
 
     PYTHONPATH=src python3 scripts/oracle_layer.py
 """
@@ -40,32 +46,42 @@ SCAN_SIZES = (60, 400, 1024)
 SCAN_BALLS = 500    # balls per cloud size
 
 
-def one_pass(clouds, subsets) -> float:
-    """Mean seconds per violators call over every (cloud, subset) pair."""
-    total, calls = 0.0, 0
+def timed_call(space, g) -> tuple[float, int]:
+    """Seconds and recursion nodes of one violators call."""
+    last = space._last
+    t = time.perf_counter()
+    space.violators(g)
+    t = time.perf_counter() - t
+    return t, 0 if space._last is last else 1 + len(space._last[2])
+
+
+def one_pass(clouds, subsets) -> tuple[float, float]:
+    """Mean seconds and nodes per violators call over every (cloud, subset)
+    pair."""
+    total, nodes, calls = 0.0, 0, 0
     for inst, masks in zip(clouds, subsets):
         space = SebSpace(inst)
         for g in masks:
-            t = time.perf_counter()
-            space.violators(g)
-            total += time.perf_counter() - t
+            t, k = timed_call(space, g)
+            total += t
+            nodes += k
         calls += len(masks)
-    return total / calls
+    return total / calls, nodes / calls
 
 
-def sweep_pass(clouds, sets) -> float:
-    """Mean seconds per violators call over leave-one-out sweeps, one fresh
-    handle per sweep: V(G), then V(G minus s) for every s in G."""
-    total, calls = 0.0, 0
+def sweep_pass(clouds, sets) -> tuple[float, float]:
+    """Mean seconds and nodes per violators call over leave-one-out sweeps,
+    one fresh handle per sweep: V(G), then V(G minus s) for every s in G."""
+    total, nodes, calls = 0.0, 0, 0
     for inst, gs in zip(clouds, sets):
         for g in gs:
             space = SebSpace(inst)
             for s in [0] + [1 << i for i in elements(g)]:
-                t = time.perf_counter()
-                space.violators(g ^ s)
-                total += time.perf_counter() - t
+                t, k = timed_call(space, g ^ s)
+                total += t
+                nodes += k
                 calls += 1
-    return total / calls
+    return total / calls, nodes / calls
 
 
 def circ_pass(sets) -> float:
@@ -85,13 +101,20 @@ def scan_pass(inst, balls) -> float:
     return (time.perf_counter() - t) / len(balls)
 
 
-def row(kind: str, dim: int, size: int, calls: int, us: list[float]) -> None:
-    print(f"{kind:>4} {dim:>3} {size:>5} {calls:>6} "
+def row(kind: str, dim: int, size: int, calls: int, us: list[float], nodes: str = "-") -> None:
+    print(f"{kind:>4} {dim:>3} {size:>5} {calls:>6} {nodes:>6} "
           f"{statistics.median(us):>9.1f} {min(us):>9.1f} {max(us):>9.1f}")
 
 
+def timed_row(kind: str, dim: int, size: int, calls: int, run) -> None:
+    """A row of PASSES runs of `run`, each giving (seconds, nodes) per call."""
+    passes = [run() for _ in range(PASSES)]
+    row(kind, dim, size, calls, [t * 1e6 for t, _ in passes], f"{passes[0][1]:.1f}")
+
+
 def main() -> None:
-    print(f"{'kind':>4} {'dim':>3} {'size':>5} {'calls':>6} {'us/call':>9} {'min':>9} {'max':>9}")
+    print(f"{'kind':>4} {'dim':>3} {'size':>5} {'calls':>6} {'nodes':>6} {'us/call':>9} "
+          f"{'min':>9} {'max':>9}")
     for dim in DIMS:
         clouds = [generate("uniform-square", {"n": N, "dim": dim}, 100 + dim * 10 + k)
                   for k in range(CLOUDS)]
@@ -99,13 +122,12 @@ def main() -> None:
             rng = random.Random(1000 + dim * 100 + size)
             subsets = [[sum(1 << i for i in rng.sample(range(N), size))
                         for _ in range(SUBSETS)] for _ in clouds]
-            us = [one_pass(clouds, subsets) * 1e6 for _ in range(PASSES)]
-            row("cold", dim, size, CLOUDS * SUBSETS, us)
+            timed_row("cold", dim, size, CLOUDS * SUBSETS, lambda: one_pass(clouds, subsets))
         rng = random.Random(2000 + dim)
         sets = [[sum(1 << i for i in rng.sample(range(N), SWEEP_SIZE))
                  for _ in range(SWEEPS)] for _ in clouds]
-        us = [sweep_pass(clouds, sets) * 1e6 for _ in range(PASSES)]
-        row("loo", dim, SWEEP_SIZE, CLOUDS * SWEEPS * (SWEEP_SIZE + 1), us)
+        timed_row("loo", dim, SWEEP_SIZE, CLOUDS * SWEEPS * (SWEEP_SIZE + 1),
+                  lambda: sweep_pass(clouds, sets))
         pts = [tuple(p) for p in clouds[0].points.tolist()]
         rng = random.Random(3000 + dim)
         for k in range(2, dim + 2):

@@ -190,7 +190,7 @@ def _doubling_rounds(space: ViolatorSpace, support: int, seed: int, r: int, roun
             break
     trace = DoublingTrace(samples=pack_samples(samples, space.n), violators=tuple(vs),
                           terminated_cleanly=not vs or vs[-1] == 0, ground_size=space.n,
-                          slips=r, start_weight=support.bit_count())
+                          slips=r, support=None if support == space.ground else support)
     return trace, samples[-1] if samples else 0
 
 

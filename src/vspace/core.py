@@ -151,7 +151,8 @@ class RunTrace:
     @property
     def final_weights(self) -> tuple[int, ...] | None:
         """Weights after a weight-doubling run: element e ends at 2^k, k the
-        number of rounds whose violators hold e. None for other runs."""
+        number of rounds whose violators hold e, or at 0 off the support of
+        a confined run. None for other runs."""
         return None
 
 
@@ -179,17 +180,22 @@ class GrowthTrace(RunTrace):
 @dataclass(frozen=True, slots=True)
 class DoublingTrace(RunTrace):
     """Rounds of a weight-doubling run: the samples packed by pack_samples,
-    and the total weight before the first round (n, or |support| for a run
-    confined to a support). A round's weight_total adds 2^k for each of
-    its violators, k the element's doublings in earlier rounds."""
+    and the support the weights start on (1 on it, 0 off it), None for the
+    whole ground set. A round's weight_total adds 2^k for each of its
+    violators, k the element's doublings in earlier rounds."""
 
     samples: bytes
     violators: tuple[int, ...]
     terminated_cleanly: bool
     ground_size: int
     slips: int
-    start_weight: int
+    support: int | None
     delegated = False
+
+    @property
+    def start_weight(self) -> int:
+        """The total weight before the first round: n, or |support|."""
+        return self.ground_size if self.support is None else self.support.bit_count()
 
     @property
     def rounds(self) -> tuple[RoundRecord, ...]:
@@ -204,11 +210,17 @@ class DoublingTrace(RunTrace):
 
     @property
     def final_weights(self) -> tuple[int, ...]:
+        """2^k for an element of the support, k its doublings; 0 off it."""
         doublings = [0] * self.ground_size
         for v in self.violators:
             for e in elements(v):
                 doublings[e] += 1
-        return tuple(1 << k for k in doublings)
+        if self.support is None:
+            return tuple(1 << k for k in doublings)
+        weights = [0] * self.ground_size
+        for e in elements(self.support):
+            weights[e] = 1 << doublings[e]
+        return tuple(weights)
 
 
 def _index_code(n: int) -> str:

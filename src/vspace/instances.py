@@ -382,33 +382,17 @@ def _mb(pts, order: list[int], end: int, boundary: tuple[int, ...], tol: float,
     index tuple alone, so `balls` memoizes it exactly. Every point that
     sets off a recursion is appended to `hits`.
 
-    Planar points take an inlined containment test: the limit
-    r^2 * (1 + tol) is computed once per ball, and the squared distance is
-    t0*t0 + t1*t1. That is bit for bit _dist2's (0.0 + t0*t0) + t1*t1,
-    because t*t is never -0.0, so adding it to +0.0 is exact. Every other
-    dimension runs the generic loop.
+    Planar points with a boundary of 0 or 1 points (every evaluation, and
+    the (k,) starts of SebSpace.violator_table) go to _planar_mb, the same
+    recursion as three nested scans. Every other call runs the loop below.
     """
+    if dim == 2 and len(boundary) < 2:
+        return _planar_mb(pts, order, end, boundary, tol, balls, hits)
     if boundary in balls:
         ball = balls[boundary]
     else:
         ball = balls[boundary] = _ball_with_boundary([pts[j] for j in boundary], tol, dim)
     if len(boundary) == dim + 1:
-        return ball
-    if dim == 2:
-        (c0, c1), r2 = ball
-        lim = r2 * (1.0 + tol)
-        for i in range(end):
-            j = order[i]
-            p = pts[j]
-            t0 = p[0] - c0
-            t1 = p[1] - c1
-            if t0 * t0 + t1 * t1 <= lim:
-                continue
-            hits.append(j)
-            (c0, c1), r2 = ball = _mb(pts, order, i, boundary + (j,), tol, dim, balls, hits)
-            lim = r2 * (1.0 + tol)
-            del order[i]
-            order.insert(0, j)
         return ball
     for i in range(end):
         j = order[i]
@@ -420,6 +404,102 @@ def _mb(pts, order: list[int], end: int, boundary: tuple[int, ...], tol: float,
         del order[i]
         order.insert(0, j)
     return ball
+
+
+def _planar_mb(pts, order: list[int], end: int, boundary: tuple[int, ...], tol: float,
+               balls: dict, hits: list[int]):
+    """_mb in the plane from a boundary of 0 or 1 points, as three nested
+    scans, one per boundary size: level 0 scans order[:end] against the
+    empty boundary's ball, level 1 pins the point `a` that set off the
+    last level-0 recursion (or boundary[0]), and level 2 pins a second
+    point `b`. A point outside a level-2 ball completes the boundary, so
+    its ball needs no scan.
+
+    Each node of the recursion is one step of these scans, in the
+    recursion's order, so the float operations, the boundary tuples, the
+    hits and the final order are the recursion's, bit for bit. The
+    containment test computes r^2 * (1 + tol) once per ball and compares
+    t0*t0 + t1*t1 against it, which is _dist2's (0.0 + t0*t0) + t1*t1
+    because t*t is never -0.0. A 1-point ball is (pts[a], 0.0), as
+    _circumsphere gives it, built in place. A 2- or 3-point ball comes
+    from the memo under its ordered index tuple, or else from _circle, and
+    from _ball_with_boundary only where _circle has none. A 1-point ball
+    enters the memo only when the scans return it, so every ball they
+    return is in `balls`: SebSpace keeps outside masks of memo balls only.
+    """
+    scale = 1.0 + tol
+    one = None
+    if not boundary:
+        ball = balls.get(())
+        if ball is None:
+            ball = balls[()] = _ball_with_boundary((), tol, 2)
+        (c0, c1), r2 = ball
+        lim = r2 * scale
+    i0 = -1
+    while True:
+        if boundary:
+            a, i0 = boundary[0], end
+        else:
+            for i0 in range(i0 + 1, end):
+                j = order[i0]
+                x, y = pts[j]
+                t0 = x - c0
+                t1 = y - c1
+                if t0 * t0 + t1 * t1 <= lim:
+                    continue
+                hits.append(j)
+                a = j
+                break
+            else:
+                if ball is one:
+                    balls[(a,)] = ball
+                return ball
+        # Level 1: a pinned, order[:i0] scanned.
+        pa = pts[a]
+        ball = one = (pa, 0.0)
+        c0, c1 = pa
+        lim = 0.0 * scale
+        for i1 in range(i0):
+            b = order[i1]
+            x, y = pts[b]
+            t0 = x - c0
+            t1 = y - c1
+            if t0 * t0 + t1 * t1 <= lim:
+                continue
+            hits.append(b)
+            key = (a, b)
+            ball = balls.get(key)
+            if ball is None:
+                pb = pts[b]
+                ball = balls[key] = _circle((pa, pb)) or _ball_with_boundary([pa, pb], tol, 2)
+            (c0, c1), r2 = ball
+            lim = r2 * scale
+            # Level 2: a and b pinned, order[:i1] scanned.
+            for i2 in range(i1):
+                j = order[i2]
+                x, y = pts[j]
+                t0 = x - c0
+                t1 = y - c1
+                if t0 * t0 + t1 * t1 <= lim:
+                    continue
+                hits.append(j)
+                key = (a, b, j)
+                ball = balls.get(key)
+                if ball is None:
+                    bpts = [pa, pts[b], pts[j]]
+                    ball = balls[key] = _circle(bpts) or _ball_with_boundary(bpts, tol, 2)
+                (c0, c1), r2 = ball
+                lim = r2 * scale
+                del order[i2]
+                order.insert(0, j)
+            del order[i1]
+            order.insert(0, b)
+        if boundary:
+            if ball is one:
+                balls[boundary] = ball
+            return ball
+        del order[i0]
+        order.insert(0, a)
 
 
 def miniball(instance: SebInstance, subset: int) -> Ball:

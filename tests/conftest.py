@@ -365,10 +365,10 @@ def eager_doubling_replay(space, support, seed, r, rounds, stop):
     """Oracle for DoublingTrace.rounds and final_weights: the weight-doubling
     loop with its running total, weights 1 on the support and 0 off it.
     Returns the (sample, violators, weight_total) of every round and the
-    final weights, 2^k for k the doublings of each of the handle's n
-    elements. With stop, the rounds end at the first one without violators."""
+    final weights of the handle's n elements, as the loop leaves them: 2^k
+    on the support, k the doublings, and 0 off it. With stop, the rounds
+    end at the first one without violators."""
     mu = [support >> i & 1 for i in range(space.n)]
-    doublings = [0] * space.n
     total = support.bit_count()
     rng = random.Random(spawn(seed, 0))
     out = []
@@ -378,11 +378,10 @@ def eager_doubling_replay(space, support, seed, r, rounds, stop):
         for i in peel_elements(v):
             total += mu[i]
             mu[i] *= 2
-            doublings[i] += 1
         out.append((sample, v, total))
         if stop and v == 0:
             break
-    return out, tuple(1 << k for k in doublings)
+    return out, tuple(mu)
 
 
 def row_sum_outside(space: SebSpace, ball) -> int:

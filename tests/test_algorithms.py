@@ -524,6 +524,21 @@ def test_confined_swiss_trace_starts_at_the_support_size():
         assert tr.final_weights == weights
 
 
+def test_confined_swiss_final_weights_are_0_off_the_support():
+    # The weights of a confined run start at 0 off the support and are
+    # never doubled there, so they end at 0 there, not at 2^0 = 1. A run on
+    # the whole ground set keeps no support.
+    space = SebSpace(generate("uniform-square", {"n": 80, "dim": 2}, 23))
+    support = sum(1 << i for i in random.Random(24).sample(range(80), 40))
+    tr = _swiss(space, support, 0, 2.0).trace
+    weights = tr.final_weights
+    assert tr.support == support
+    assert [weights[i] for i in range(80) if not support >> i & 1] == [0] * 40
+    assert all(weights[i] >= 1 for i in elements(support))
+    assert _swiss(space, space.ground, 0, 2.0).trace.support is None
+    assert swiss_algorithm(space, 0).trace.support is None
+
+
 def test_solve_result_calls_builds_no_round_record(monkeypatch):
     # SolveResult reads its round count off the violators column; only
     # trace.rounds builds records.

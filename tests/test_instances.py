@@ -33,12 +33,13 @@ from vspace.instances import (
     seb_violators,
     tabulate,
 )
-from vspace.subsets import full_mask, mask_of
+from vspace.subsets import elements, full_mask, mask_of
 
 import conftest
 from conftest import (
     RecordingHandle,
     RestrictedSpace,
+    _generic_mb,
     full_gram_circumsphere,
     full_gram_solve_linear,
     generic_ball,
@@ -258,10 +259,11 @@ def _memo_clouds():
 
 
 def _memo_sequence(n: int, rng: random.Random) -> list[int]:
-    """Masks as basis search asks them, and more: the empty set, G twice in
-    a row, the leave-one-out probes of G (most end on a ball met before), G
-    again after them, then G plus each point outside it."""
-    seq = [0]
+    """Masks as basis search asks them, and more: the empty set, every
+    singleton (its ball has one point), G twice in a row, the leave-one-out
+    probes of G (most end on a ball met before), G again after them, then G
+    plus each point outside it."""
+    seq = [0] + [1 << i for i in range(n)]
     for _ in range(3):
         g = rng.getrandbits(n) | 1
         seq += [g, g] + [g & ~(1 << i) for i in range(n) if g >> i & 1] + [g]
@@ -287,7 +289,7 @@ def test_warm_handle_answers_as_fresh_handles(monkeypatch, limit, cloud):
 
 
 def test_a_repeated_violators_call_makes_no_recursion(monkeypatch):
-    nodes = _count_calls(monkeypatch, instances, "_mb")
+    nodes = _count_nodes(monkeypatch)
     space = SebSpace(generate("uniform-square", {"n": 400, "dim": 2}, 3))
     g = sum(1 << i for i in random.Random(3).sample(range(400), 50))
     v = space.violators(g)
@@ -334,6 +336,12 @@ def test_mask_memo_is_emptied_with_the_ball_memo(monkeypatch):
     masks = small._masks
     small.violator_table()
     assert small._masks is not masks
+    # Without a reset the table's walk, singletons and (k,) starts
+    # included, keeps only masks of balls the memo holds.
+    monkeypatch.setattr(instances, "BALL_CACHE_LIMIT", 1 << 10)
+    small = SebSpace(small.instance)
+    small.violator_table()
+    assert set(small._masks) <= set(small._balls.values())
 
 
 def _assert_narrowing_exact(space, subsets):
@@ -448,6 +456,47 @@ def test_planar_kernel_bit_for_bit_near_the_underflow_edge():
     pts = np.random.default_rng(29).random((10, 2)) * 1e-155
     space = SebSpace(make_seb(np.concatenate([pts, pts[:2]])))
     assert _assert_kernel_bit_for_bit(space, range(1, 1 << space.n)) == 0
+
+
+def _run_kernel(mb, space, order, end, boundary, balls):
+    """(ball, hits, final order) of one run of `mb` on a copy of `order`."""
+    inst, order, hits = space.instance, list(order), []
+    ball = mb(space._points, order, end, boundary, inst.tolerance, inst.dim, balls, hits)
+    return ball, hits, order
+
+
+def test_planar_scans_are_the_generic_recursion_at_tolerance_0():
+    # At tolerance 0 a copy of a point can test outside a ball by an ulp,
+    # so the doubled and the grid cloud reach every branch of the scans:
+    # hits at position 0, boundaries completed from the memo, and the
+    # fallback search of _ball_with_boundary. On every subset the kernel
+    # must give the generic recursion's ball (by float.hex), hits and final
+    # order. So must every (k,) start that violator_table makes: G minus k
+    # ends with some order and ball, and where k lies outside that ball, k
+    # is appended and scanned from with k pinned. Each side keeps one warm
+    # memo per cloud, so later subsets take their balls from it.
+    starts = 0
+    for pts in list(_clouds(2, 102))[1:3]:
+        space = SebSpace(make_seb(pts, tolerance=0.0))
+        memo, generic_memo, ends = {}, {}, {}
+        for g in range(1 << space.n):
+            order = elements(g)
+            want = _run_kernel(_generic_mb, space, order, len(order), (), generic_memo)
+            got = _run_kernel(instances._mb, space, order, len(order), (), memo)
+            assert (_hex(got[0]), got[1:]) == (_hex(want[0]), want[1:]), hex(g)
+            ends[g] = want[0], want[2]
+            if not g:
+                continue
+            k = g.bit_length() - 1
+            (center, r2), prefix = ends[g ^ 1 << k]
+            if instances._dist2(space._points[k], center) <= r2:
+                continue
+            grown = prefix + [k]
+            want = _run_kernel(_generic_mb, space, grown, len(prefix), (k,), generic_memo)
+            got = _run_kernel(instances._mb, space, grown, len(prefix), (k,), memo)
+            assert (_hex(got[0]), got[1:]) == (_hex(want[0]), want[1:]), hex(g)
+            starts += 1
+    assert starts > 6_000
 
 
 EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-155, 1.0, -0.5, 1e154, -1e154, 1e308, -1e308)
@@ -625,16 +674,36 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _count_nodes(monkeypatch):
+    """Wrap instances._mb in a counter of planar recursion nodes: one per
+    evaluation plus one per point that sets off a recursion, read off the
+    hits it appends. The planar scans run a whole evaluation in one _mb
+    call, so counting calls would count evaluations alone."""
+    real, nodes = instances._mb, [0]
+
+    def counting(pts, order, end, boundary, tol, dim, balls, hits):
+        before = len(hits)
+        ball = real(pts, order, end, boundary, tol, dim, balls, hits)
+        nodes[0] += 1 + len(hits) - before
+        return ball
+
+    monkeypatch.setattr(instances, "_mb", counting)
+    return nodes
+
+
 def test_move_to_front_visits_fewer_nodes(monkeypatch):
     # The extreme pass of German solves on 400 planar points asks for V of
     # about 47 points: moving each point that sets off a recursion to the
-    # front keeps it from setting off the same recursions again.
-    nodes = _count_calls(monkeypatch, instances, "_mb")
+    # front keeps it from setting off the same recursions again. The
+    # kernel's node count is the generic recursion's call count.
+    nodes = _count_nodes(monkeypatch)
+    generic_nodes = _count_calls(monkeypatch, conftest, "_generic_mb")
     oracle_nodes = _count_calls(monkeypatch, conftest, "_index_order_mb")
     space = SebSpace(generate("uniform-square", {"n": 400, "dim": 2}, 3))
     g = sum(1 << i for i in random.Random(1).sample(range(400), 47))
     assert space.violators(g) == index_order_violators(space, g)
-    assert 0 < nodes[0] < oracle_nodes[0]
+    generic_ball(space, g, [])
+    assert 0 < nodes[0] == generic_nodes[0] < oracle_nodes[0]
 
 
 def test_extreme_candidates_small_cases():
@@ -817,7 +886,7 @@ def test_violator_table_survives_memo_resets(monkeypatch):
 
 
 def test_violator_table_makes_fewer_recursions_than_the_loop(monkeypatch):
-    nodes = _count_calls(monkeypatch, instances, "_mb")
+    nodes = _count_nodes(monkeypatch)
     space = SebSpace(generate("uniform-square", {"n": 12, "dim": 2}, 4))
     space.violator_table()
     walk = nodes[0]
