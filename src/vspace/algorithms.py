@@ -11,17 +11,22 @@ Three entry points, all deterministic functions of (space, seed):
                     the violators of the sample until none remain, and
                     find a basis of the last sample
 
-Weights are exact Python ints on purpose: totals pass 2^64 after enough
-doubling rounds and sampling must stay exact.
+The doubling loop keeps its weights in one int64 array, so a round's
+cumulative sums and doublings are numpy passes. Sampling must stay exact,
+and totals pass 2^64 after enough doubling rounds: the loop keeps an exact
+Python-int total beside the array and turns the array into Python ints
+(dtype object) before its total could reach 2^62, and weighted_sample
+sums in Python ints wherever an int64 sum could wrap.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     DoublingTrace,
@@ -45,16 +50,6 @@ class SolverStall(RuntimeError):
         self.trace = trace
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _indicator(n: int, support: int) -> list[int]:
-    """Weight 1 on the elements of support and 0 on the rest of 0..n-1."""
-    # Sentinel bit n keeps the zeros above support's top bit; reversed,
-    # character i of the binary string is bit i, translated to 0 or 1.
-    return list(bin(support | 1 << n)[:2:-1].encode().translate(_BITS))
-
-
 @dataclass(frozen=True, slots=True)
 class SolveResult:
     basis: int
@@ -73,16 +68,17 @@ class SolveResult:
 _DELEGATED = GrowthTrace(start=0, violators=(), terminated_cleanly=True, delegated=True)
 
 
-def weighted_sample(mu: list[int], r: int, rng: random.Random) -> int:
+def weighted_sample(mu, r: int, rng: random.Random) -> int:
     """Collapse of a uniform r-subset of the slip multiset.
 
-    Element h contributes mu[h] >= 0 distinguishable slips. A uniform
-    r-subset of all slips is drawn with Floyd's method and mapped back to
-    element indices; this has the same law as removing one random slip at
-    a time. The result has between 1 and r elements set, none of weight 0.
+    Element h contributes mu[h] >= 0 distinguishable slips; mu is a list
+    of ints or a numpy array. A uniform r-subset of all slips is drawn with
+    Floyd's method and mapped back to element indices; this has the same
+    law as removing one random slip at a time. The result has between 1
+    and r elements set, none of weight 0.
     """
-    cums = list(itertools.accumulate(mu))
-    total = cums[-1] if cums else 0
+    cums = _cumulative(mu)
+    total = int(cums[-1]) if len(cums) else 0
     if not 1 <= r <= total:
         raise ValueError(f"sample size {r} outside [1, {total}]")
     chosen: set[int] = set()
@@ -92,10 +88,24 @@ def weighted_sample(mu: list[int], r: int, rng: random.Random) -> int:
             chosen.add(j)
         else:
             chosen.add(t)
+    # Slip t belongs to the first element whose cumulative sum exceeds t.
+    slips = np.fromiter(chosen, cums.dtype, len(chosen))
     mask = 0
-    for slip in chosen:
-        mask |= 1 << bisect.bisect_right(cums, slip)
+    for i in cums.searchsorted(slips, "right").tolist():
+        mask |= 1 << i
     return mask
+
+
+def _cumulative(mu) -> np.ndarray:
+    """The running sums of the weights mu: int64 where none wraps, else
+    exact Python ints (dtype object)."""
+    w = np.asarray(mu)
+    if w.dtype == np.int64 and len(w):
+        cums = w.cumsum()
+        # Non-negative weights that wrap first wrap to a negative sum.
+        if cums[cums.argmin()] >= 0:
+            return cums
+    return np.asarray(mu, dtype=object).cumsum()
 
 
 def german_sample_size(d: int, n: int) -> int:
@@ -135,7 +145,7 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
         return SolveResult(find_basis(space, space.ground), _DELEGATED)
 
     rng = random.Random(spawn(seed, 0))
-    sample = weighted_sample([1] * n, r, rng)
+    sample = weighted_sample(np.ones(n, np.int64), r, rng)
     if inner == "bfa":
         step = space.violators
     else:
@@ -166,31 +176,65 @@ def default_safety_cap(d: int, n: int) -> int:
     return math.ceil(64 * (d + 1) * (math.log2(max(n, 2)) + 1))
 
 
+# The int64 weights of the doubling loop stay below this total; a round that
+# would reach it turns them into Python ints first.
+_EXACT_FROM = 1 << 62
+
+
+def _bits(mask: int, n: int) -> np.ndarray:
+    """Bit i of mask, for i in 0..n-1, as a boolean array."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
+def _place(dense: int, positions: list[int]) -> int:
+    """The mask with bit positions[i] set for every bit i of dense."""
+    out = 0
+    for i in elements(dense):
+        out |= 1 << positions[i]
+    return out
+
+
 def _doubling_rounds(space: ViolatorSpace, support: int, seed: int, r: int, rounds: int,
                      stop: bool) -> tuple[DoublingTrace, int]:
     """Up to `rounds` rounds of: weighted sample R of r slips, its
     violators in the support V(R) & support, double their weights; with
     stop, the rounds end at the first one without violators. Weights start
-    at 1 on the support and 0 off it, so every sample lies in the support.
-    V(R) is V of every basis of R by locality, so a round searches for no
-    basis. Returns the trace, which ends cleanly when its last round (if
-    any) has no violators, and the last sample (0 without rounds)."""
-    mu = _indicator(space.n, support)
+    at 1 on the support and are kept for the support's elements only, in
+    order, so every sample lies in the support. V(R) is V of every basis
+    of R by locality, so a round searches for no basis. Returns the trace,
+    which ends cleanly when its last round (if any) has no violators, and
+    the last sample (0 without rounds)."""
+    n = space.n
+    confined = support != space.ground
+    positions = elements(support) if confined else None
+    on_support = _bits(support, n) if confined else None
+    mu = np.ones(support.bit_count(), np.int64)
+    total = len(mu)     # sum(mu), exact
     rng = random.Random(spawn(seed, 0))
     samples: list[int] = []
     vs: list[int] = []
     for _ in range(rounds):
         sample = weighted_sample(mu, r, rng)
+        if confined:
+            sample = _place(sample, positions)
         v = space.violators(sample) & support
-        for i in elements(v):
-            mu[i] *= 2
+        if v:
+            hit = _bits(v, n)
+            if confined:
+                hit = hit[on_support]
+            doubled = mu[hit]
+            total += int(doubled.sum())
+            if total >= _EXACT_FROM and mu.dtype != object:
+                mu = mu.astype(object)
+            mu[hit] = doubled * 2   # below 2^63: each was below the old total
         samples.append(sample)
         vs.append(v)
         if stop and v == 0:
             break
-    trace = DoublingTrace(samples=pack_samples(samples, space.n), violators=tuple(vs),
-                          terminated_cleanly=not vs or vs[-1] == 0, ground_size=space.n,
-                          slips=r, support=None if support == space.ground else support)
+    trace = DoublingTrace(samples=pack_samples(samples, n), violators=tuple(vs),
+                          terminated_cleanly=not vs or vs[-1] == 0, ground_size=n,
+                          slips=r, support=support if confined else None)
     return trace, samples[-1] if samples else 0
 
 
@@ -211,10 +255,11 @@ def swiss_algorithm(space: ViolatorSpace, seed: int, c: float = 2.0) -> SolveRes
 def _swiss(space: ViolatorSpace, support: int, seed: int, c: float) -> SolveResult:
     """swiss_algorithm confined to `support`, with n = |support|.
 
-    Weights are 0 off the support, so every sample lies in it; each sample,
-    oracle call and the basis are those of the run on the space restricted
-    to the support, placed at the support's positions (the tests keep that
-    restriction as the oracle). The trace keeps the handle's indexing.
+    Weights are kept for the support's elements only, so every sample lies
+    in it; each sample, oracle call and the basis are those of the run on
+    the space restricted to the support, placed at the support's positions
+    (the tests keep that restriction as the oracle). The trace keeps the
+    handle's indexing.
     """
     d = resolve_dimension(space)
     n = support.bit_count()

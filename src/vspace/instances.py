@@ -148,7 +148,15 @@ class SebInstance:
         return len(self.points)
 
 
+def _check_tolerance(tol, what: str) -> None:
+    """Refuse a tolerance that is not a finite non-negative number: with a
+    negative one or NaN, the outside test breaks the axioms silently."""
+    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not math.isfinite(tol) or tol < 0:
+        raise ValueError(f"{what} must be a finite non-negative number")
+
+
 def make_seb(points, dim: int | None = None, tolerance: float = DEFAULT_TOLERANCE) -> SebInstance:
+    _check_tolerance(tolerance, "tolerance")
     arr = np.asarray(points, dtype=float)
     if arr.shape == (0,) and dim is not None:
         arr = arr.reshape(0, dim)
@@ -167,8 +175,7 @@ def make_seb(points, dim: int | None = None, tolerance: float = DEFAULT_TOLERANC
 def _seb_from(data: dict, path) -> SebInstance:
     dim = _int_field(data, "dim", 1, math.inf, path)
     tol = data.get("tolerance", DEFAULT_TOLERANCE)
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not math.isfinite(tol) or tol < 0:
-        raise ValueError(f"{path}: field 'tolerance' must be a finite non-negative number")
+    _check_tolerance(tol, f"{path}: field 'tolerance'")
     pts = data.get("points")
     if not isinstance(pts, list):
         raise ValueError(f"{path}: field 'points' must be a list")

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -359,6 +360,24 @@ def eager_growth_replay(start, step, rounds, stop):
             break
         g |= v
     return out
+
+
+def bisect_weighted_sample(mu, r, rng):
+    """Oracle for algorithms.weighted_sample: Floyd's draw of r of the
+    sum(mu) slips, each mapped to its element by bisect_right over the
+    cumulative sums in Python ints."""
+    cums = list(itertools.accumulate(mu))
+    total = cums[-1] if cums else 0
+    if not 1 <= r <= total:
+        raise ValueError(f"sample size {r} outside [1, {total}]")
+    chosen = set()
+    for j in range(total - r, total):
+        t = rng.randrange(j + 1)
+        chosen.add(j if t in chosen else t)
+    mask = 0
+    for slip in chosen:
+        mask |= 1 << bisect.bisect_right(cums, slip)
+    return mask
 
 
 def eager_doubling_replay(space, support, seed, r, rounds, stop):

@@ -10,7 +10,8 @@ from vspace import algorithms, core
 from vspace.algorithms import (
     SolveResult,
     SolverStall,
-    _indicator,
+    _bits,
+    _place,
     _swiss,
     default_safety_cap,
     german_algorithm,
@@ -29,20 +30,12 @@ from vspace.subsets import elements, full_mask
 from conftest import (
     RecordingHandle,
     RestrictedSpace,
-    compress,
+    bisect_weighted_sample,
     eager_doubling_replay,
     eager_growth_replay,
     expand,
     peel_elements,
 )
-
-
-def test_indicator_basics():
-    assert _indicator(4, 0b1111) == [1, 1, 1, 1]
-    assert _indicator(4, 0b1010) == [0, 1, 0, 1]
-    assert _indicator(4, 0) == [0, 0, 0, 0]
-    assert _indicator(0, 0) == []
-    assert _indicator(3000, full_mask(3000)) == [1] * 3000
 
 
 def test_weighted_sample_bounds():
@@ -101,6 +94,42 @@ def test_weighted_sample_properties(mu, r, seed):
         assert mask.bit_count() == r
 
 
+def test_weighted_sample_matches_the_bisect_oracle():
+    # Lists and int64 arrays must draw the mask that the bisect_right
+    # oracle over Python ints draws, with the same rng calls, on small
+    # weights and on weights near and past 2^63, where an int64 sum would
+    # wrap and the exact path must take over.
+    rng = random.Random(26)
+    near = (2 ** 63 - 1, 2 ** 63 - 2, 2 ** 62, 2 ** 62 + 1)
+    draws = [lambda: rng.randint(0, 9), lambda: 1 << rng.randrange(63),
+             lambda: rng.choice(near), lambda: 2 ** 63 + rng.randrange(3),
+             lambda: rng.getrandbits(80)]
+    cases = [[2 ** 62] * 4, [2 ** 70, 1], [2 ** 63 - 1, 1], [0, 2 ** 63 - 1, 0], [0, 5, 0]]
+    for _ in range(400):
+        kinds = rng.sample(draws, rng.randint(1, 2))
+        cases.append([rng.choice(kinds)() for _ in range(rng.randint(1, 40))])
+    wrapping_arrays = 0
+    for mu in cases:
+        total = sum(mu)
+        if not total:
+            continue
+        r = rng.randint(1, min(total, 60))
+        seed = rng.getrandbits(32)
+        want_rng = random.Random(seed)
+        want = bisect_weighted_sample(mu, r, want_rng)
+        inputs = [mu]
+        if max(mu) < 2 ** 63:
+            inputs.append(np.array(mu, np.int64))
+            wrapping_arrays += total >= 2 ** 63
+        for weights in inputs:
+            got_rng = random.Random(seed)
+            assert weighted_sample(weights, r, got_rng) == want
+            assert got_rng.getstate() == want_rng.getstate()
+    assert wrapping_arrays >= 50
+    with pytest.raises(ValueError, match=rf"sample size {2 ** 71} outside \[1, {2 ** 70 + 1}\]"):
+        weighted_sample([2 ** 70, 1], 2 ** 71, rng)
+
+
 def double(mu, mask):
     """The doubling ledger, independent of the solvers' loop: double mu at
     every bit peeled off mask."""
@@ -109,36 +138,42 @@ def double(mu, mask):
 
 
 def test_weighted_sample_on_a_support_is_the_dense_sample_expanded():
-    # Weights 0 off the support collapse every slip to the support element
-    # the dense weights (the support's elements in order) collapse it to:
-    # the sample is the dense one placed at the support's positions, drawn
-    # with the same rng calls, and no zero-weight element is ever drawn.
+    # A confined doubling run keeps int64 weights for the support's
+    # elements only, in order, doubles them through _bits of the violators
+    # read at the support's bits, and _place puts its sample at the
+    # support's positions. That must be the sample of the weights spread
+    # over 0..n-1 with 0 off the support, drawn with the same rng calls:
+    # the dense sample expanded, with no zero-weight element ever drawn.
     # Widths in the thousands (some with the full support) and n = 0 check
-    # _indicator on masks many machine words wide.
+    # _bits and _place on masks many machine words wide.
     rng = random.Random(16)
     for n in [*(rng.randint(1, 40) for _ in range(400)), 0,
               *(rng.randint(1000, 4000) for _ in range(8))]:
         support = rng.getrandbits(n) | 1 << rng.randrange(n) if n else 0
         if rng.random() < 0.1:
             support = full_mask(n)
-        sparse = _indicator(n, support)
-        assert sparse == [support >> i & 1 for i in range(n)]
-        dense = [1] * support.bit_count()
+        sparse = [support >> i & 1 for i in range(n)]
+        on_support = _bits(support, n)
+        assert on_support.tolist() == [w == 1 for w in sparse]
+        dense = np.ones(support.bit_count(), np.int64)
         for _ in range(rng.randint(0, 6)):
             v = rng.getrandbits(n) & support
             double(sparse, v)
-            double(dense, compress(v, support))
-        assert [sparse[i] for i in elements(support)] == dense
+            dense[_bits(v, n)[on_support]] *= 2
+        assert dense.tolist() == [sparse[i] for i in elements(support)]
         assert all(w == 0 for i, w in enumerate(sparse) if not support >> i & 1)
         if not support:
             continue
-        r = rng.randint(1, min(sum(dense), 3000))
+        r = rng.randint(1, min(sum(sparse), 3000))
         seed = rng.getrandbits(32)
         a, b = random.Random(seed), random.Random(seed)
-        got = weighted_sample(sparse, r, a)
-        assert got == expand(weighted_sample(dense, r, b), support)
+        drawn = weighted_sample(dense, r, b)
+        got = _place(drawn, elements(support))
+        assert got == expand(drawn, support)
+        assert got == weighted_sample(sparse, r, a)
         assert got & ~support == 0
         assert a.getstate() == b.getstate()
+
 
 GA_KEYS = ("f1", "f2", "seb8", "empty6", "singleton5", "hpart4", "interval12")
 
@@ -537,6 +572,45 @@ def test_confined_swiss_final_weights_are_0_off_the_support():
     assert all(weights[i] >= 1 for i in elements(support))
     assert _swiss(space, space.ground, 0, 2.0).trace.support is None
     assert swiss_algorithm(space, 0).trace.support is None
+
+
+def _everything_unsampled_violates(n):
+    full = full_mask(n)
+    return FuncSpace(n, lambda g: full & ~g, dim_hint=2)
+
+
+def test_doubling_weights_turn_exact_before_int64_could_wrap():
+    # Every element outside the sample violates, so most weights double in
+    # every round: totals pass 2^63 and single weights 2^63 within 80
+    # rounds. The int64 weights must turn into Python ints before they
+    # could wrap, so the rounds and final weights stay the replay's on
+    # Python ints.
+    space = _everything_unsampled_violates(40)
+    r = swiss_sample_size(2, 40)
+    for seed in range(3):
+        trace = sa_forever(space, seed, 80)
+        want, weights = eager_doubling_replay(space, space.ground, seed, r, 80, stop=False)
+        assert _rounds(trace) == want
+        assert trace.final_weights == weights
+        assert max(total for _, _, total in want) > 2 ** 63
+        assert max(weights) > 2 ** 63
+
+
+def test_confined_doubling_weights_turn_exact_before_int64_could_wrap():
+    # The same on a 30-element support: the confined run never ends
+    # cleanly and stalls at its cap, with totals far past 2^63.
+    space = _everything_unsampled_violates(40)
+    support = sum(1 << i for i in random.Random(26).sample(range(40), 30))
+    r, cap = swiss_sample_size(2, 30), default_safety_cap(2, 30)
+    for seed in range(2):
+        with pytest.raises(SolverStall) as stall:
+            _swiss(space, support, seed, 2.0)
+        trace = stall.value.trace
+        want, weights = eager_doubling_replay(space, support, seed, r, cap, stop=True)
+        assert len(want) == cap
+        assert _rounds(trace) == want
+        assert trace.final_weights == weights
+        assert max(total for _, _, total in want) > 2 ** 63
 
 
 def test_solve_result_calls_builds_no_round_record(monkeypatch):

@@ -364,6 +364,17 @@ def test_doubled_points_at_tolerance_0_are_no_overflow(capsys, tmp_path):
             assert rc == 0, (argv, out, err)
 
 
+@pytest.mark.parametrize("tolerance", [-2.0, float("nan"), float("inf")])
+def test_bad_seb_tolerance_is_a_one_line_error(capsys, tmp_path, tolerance):
+    path = tmp_path / "seb.json"
+    path.write_text(json.dumps({"format": "seb-v1", "dim": 2, "tolerance": tolerance,
+                                "points": [[0.0, 0.0], [1.0, 0.5], [0.25, 1.0]]}))
+    for argv in fuzz_argvs(path, tmp_path):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert err == f"error: {path}: field 'tolerance' must be a finite non-negative number\n"
+
+
 # Stalls are failed checks (exit 1): the german cap, forced by declaring
 # d = 0 to the solver, and inner swiss runs capped at one round, which
 # stall in 5 of these 30 trials.

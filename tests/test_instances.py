@@ -132,6 +132,19 @@ def test_make_seb_validation():
     assert not inst.points.flags.writeable
 
 
+@pytest.mark.parametrize("tolerance", [-2.0, math.nan, math.inf])
+def test_make_seb_and_generate_refuse_a_bad_tolerance(tolerance):
+    # Both share load_seb's check. Unchecked, tolerance -2.0 or NaN gave a
+    # handle that answers V = 0 for G = 1, 3 and 7 and breaks the axioms.
+    pts = np.random.default_rng(1).random((6, 2))
+    with pytest.raises(ValueError, match="tolerance must be a finite non-negative number"):
+        make_seb(pts, tolerance=tolerance)
+    for kind in ("uniform-square", "sphere-surface"):
+        with pytest.raises(ValueError, match="tolerance"):
+            generate(kind, {"n": 6, "dim": 2, "tolerance": tolerance}, 1)
+    assert make_seb(pts, tolerance=0).tolerance == 0
+
+
 def test_miniball_frozen_triangle():
     inst = make_seb([(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)])
     ball = miniball(inst, 0b111)
