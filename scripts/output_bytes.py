@@ -4,12 +4,20 @@
 Three cases, shaped like the benchmark's solver workloads: german (inner
 bfa) on 400 uniform planar points, swiss on 1024, and german on 30
 uniform planar points each present twice (n = 60). Each case solves
-RESULTS seeded clouds, one fresh SebSpace per solve, keeps every result
-in a list made beforehand and drops the handle, as the benchmark's runner
-does. A row shows the traced bytes still allocated after the last solve,
-over the results kept: the result, its trace and the ints they hold. The
-clouds and the list are allocated before tracing starts, so neither is
-counted. Compare two checkouts by running the script against each:
+seeded clouds, one fresh SebSpace per solve, keeps every result in a
+list made beforehand and drops the handle, as the benchmark's runner
+does. The clouds and the list are allocated before tracing starts, so
+neither is counted; what stays allocated after the last solve is the
+results, their traces and the ints they hold, plus whatever the first
+solves allocate once (caches, interned objects).
+
+Each case runs at two result counts, the smaller run solving the first
+clouds of the larger. A row shows the slope of the traced bytes between
+them, the bytes per kept result, and the intercept, the one-time bytes.
+Allocator caches that outlive a solve make both vary between runs of one
+checkout, for swiss by about 15 bytes per result and 10 KB one-time, so
+compare several runs. Compare two checkouts by running the script
+against each:
 
     PYTHONPATH=src python3 scripts/output_bytes.py
 """
@@ -22,7 +30,7 @@ import numpy as np
 from vspace.algorithms import german_algorithm, swiss_algorithm
 from vspace.instances import SebSpace, make_seb
 
-RESULTS = 200   # per case
+COUNTS = (100, 1000)    # results per run, for the fit
 CASES = {       # name: (solve, n, every point doubled)
     "german bfa, 400 points": (lambda space, seed: german_algorithm(space, seed, inner="bfa"),
                                400, False),
@@ -39,11 +47,16 @@ def cloud(n: int, doubled: bool, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate([half, half])[rng.permutation(n)]
 
 
-def bytes_per_result(solve, n: int, doubled: bool, seed: int) -> float:
+def traced_bytes(solve, n: int, doubled: bool, seed: int, results: int) -> int:
+    """Traced bytes still allocated after solving and keeping `results`
+    seeded clouds; each cloud and its seed are drawn in turn, so a run is
+    a prefix of any longer one."""
     rng = np.random.default_rng(seed)
-    instances = [make_seb(cloud(n, doubled, rng)) for _ in range(RESULTS)]
-    seeds = [int(s) for s in rng.integers(0, 2**63, RESULTS)]
-    kept = [None] * RESULTS
+    instances, seeds = [], []
+    for _ in range(results):
+        instances.append(make_seb(cloud(n, doubled, rng)))
+        seeds.append(int(rng.integers(0, 2**63)))
+    kept = [None] * results
     gc.collect()
     tracemalloc.start()
     try:
@@ -54,13 +67,16 @@ def bytes_per_result(solve, n: int, doubled: bool, seed: int) -> float:
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    return (after - before) / RESULTS
+    return after - before
 
 
 def main() -> None:
-    print(f"{'case':<30} {'results':>7} {'bytes/result':>12}")
+    lo, hi = COUNTS
+    print(f"{'case':<30} {'results':>9} {'bytes/result':>12} {'one-time bytes':>14}")
     for k, (name, (solve, n, doubled)) in enumerate(CASES.items()):
-        print(f"{name:<30} {RESULTS:>7} {bytes_per_result(solve, n, doubled, 24 + k):>12.0f}")
+        small, large = (traced_bytes(solve, n, doubled, 24 + k, m) for m in COUNTS)
+        slope = (large - small) / (hi - lo)
+        print(f"{name:<30} {f'{lo}, {hi}':>9} {slope:>12.0f} {small - slope * lo:>14.0f}")
 
 
 if __name__ == "__main__":

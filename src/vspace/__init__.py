@@ -79,7 +79,6 @@ from .instances import (
     miniball,
     save_explicit,
     save_seb,
-    seb_violators,
     tabulate,
 )
 from .seeding import spawn
@@ -104,7 +103,7 @@ __all__ = [
     "pattern_is_hypercube_partition", "pattern_to_partition",
     "random_partition", "resolve_dimension",
     "roundtrip_check", "sa_experiment", "sa_forever",
-    "save_explicit", "save_partition", "save_seb", "seb_violators",
+    "save_explicit", "save_partition", "save_seb",
     "spawn", "swiss_algorithm", "tabulate", "verify_sampling_lemma",
     "violation_pattern", "weighted_sample", "write_report",
     "write_trace_csv",

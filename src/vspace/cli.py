@@ -117,7 +117,7 @@ def cmd_solve(args) -> int:
     print(f"violators-of-basis: {v.bit_count()}")
     if result is not None:
         tr = result.trace
-        print(f"rounds: {len(tr.rounds)}  inner-calls: {result.calls}  "
+        print(f"rounds: {len(tr.violators)}  inner-calls: {result.calls}  "
               f"delegated: {'yes' if tr.delegated else 'no'}")
     if args.trace:
         write_trace_csv(args.trace, [(0, result.trace)] if result is not None else [])

@@ -176,6 +176,14 @@ class GrowthTrace(RunTrace):
             g |= v
         return tuple(recs)
 
+    @property
+    def working(self) -> int:
+        """The working set after the last round: start OR'd with every violator mask."""
+        g = self.start
+        for v in self.violators:
+            g |= v
+        return g
+
 
 @dataclass(frozen=True, slots=True)
 class DoublingTrace(RunTrace):
@@ -197,24 +205,28 @@ class DoublingTrace(RunTrace):
         """The total weight before the first round: n, or |support|."""
         return self.ground_size if self.support is None else self.support.bit_count()
 
-    @property
-    def rounds(self) -> tuple[RoundRecord, ...]:
+    def _replay(self) -> tuple[list[int], list[int]]:
+        """The total weight after each round, and each element's doublings."""
         doublings = [0] * self.ground_size
-        total, recs = self.start_weight, []
-        for sample, v in zip(unpack_samples(self.samples, self.ground_size), self.violators):
+        total, totals = self.start_weight, []
+        for v in self.violators:
             for e in elements(v):
                 total += 1 << doublings[e]
                 doublings[e] += 1
-            recs.append(RoundRecord(sample=sample, violators=v, weight_total=total))
-        return tuple(recs)
+            totals.append(total)
+        return totals, doublings
+
+    @property
+    def rounds(self) -> tuple[RoundRecord, ...]:
+        totals, _ = self._replay()
+        samples = unpack_samples(self.samples, self.ground_size)
+        return tuple(RoundRecord(sample=s, violators=v, weight_total=t)
+                     for s, v, t in zip(samples, self.violators, totals))
 
     @property
     def final_weights(self) -> tuple[int, ...]:
         """2^k for an element of the support, k its doublings; 0 off it."""
-        doublings = [0] * self.ground_size
-        for v in self.violators:
-            for e in elements(v):
-                doublings[e] += 1
+        _, doublings = self._replay()
         if self.support is None:
             return tuple(1 << k for k in doublings)
         weights = [0] * self.ground_size
@@ -553,10 +565,7 @@ def composite_rounds(space: ViolatorSpace, subset: int) -> RunTrace:
 
 def composite_violators(space: ViolatorSpace, subset: int) -> int:
     """Elements pulled in by d rounds of G <- G | V(G), minus the start."""
-    g = subset
-    for v in composite_rounds(space, subset).violators:
-        g |= v
-    return g & ~subset
+    return composite_rounds(space, subset).working & ~subset
 
 
 def composite_space(space: ViolatorSpace) -> FuncSpace:

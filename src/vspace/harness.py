@@ -212,10 +212,10 @@ def ga_experiment(space: ViolatorSpace, trials: int, seed: int,
     r = german_sample_size(d, n)
     traces, stalled = _finished_trials(
         lambda s: german_algorithm(space, s, inner=inner).trace, trials, seed)
-    rounds = [len(tr.rounds) for tr in traces]
+    rounds = [len(tr.violators) for tr in traces]
     delegated = sum(tr.delegated for tr in traces)
     # Growth rounds only add, so the last round's working set is the largest.
-    max_working = [n if tr.delegated else tr.rounds[-1].working.bit_count() for tr in traces]
+    max_working = [n if tr.delegated else tr.working.bit_count() for tr in traces]
     size_bound = 2.0 * (d + 1) * math.sqrt(n / 2.0)
     mean, lo, hi = _mean_ci95(max_working) if max_working else (math.inf,) * 3
     rounds_max = max(rounds, default=0)
@@ -247,15 +247,6 @@ def ga_experiment(space: ViolatorSpace, trials: int, seed: int,
     }
 
 
-def _controversial_prefix(trace) -> int:
-    k = 0
-    for rec in trace.rounds:
-        if not rec.controversial:
-            break
-        k += 1
-    return k
-
-
 def sa_experiment(space: ViolatorSpace, trials: int, seed: int,
                   c: float = 2.0, beta: float = 2.0,
                   forever_traces: int = 0, forever_rounds: int = 0,
@@ -280,11 +271,13 @@ def sa_experiment(space: ViolatorSpace, trials: int, seed: int,
     weight_sums = [n * forever_traces] + [0] * forever_rounds
     for t in range(forever_traces):
         trace = sa_forever(space, spawn(seed, 10_000_019 + t), forever_rounds, c=c)
-        prefixes.append(_controversial_prefix(trace))
-        for i, rec in enumerate(trace.rounds, 1):
-            weight_sums[i] += rec.weight_total
+        vs = trace.violators
+        prefixes.append(vs.index(0) if 0 in vs else len(vs))
+        if weight_checkpoints:
+            for i, rec in enumerate(trace.rounds, 1):
+                weight_sums[i] += rec.weight_total
     rounds, stalled = _finished_trials(
-        lambda s: len(swiss_algorithm(space, s, c=c).trace.rounds), trials, seed)
+        lambda s: len(swiss_algorithm(space, s, c=c).trace.violators), trials, seed)
     round_bound = params.round_bound()
     mean_rounds = statistics.fmean(rounds) if rounds else math.inf
     metrics = [

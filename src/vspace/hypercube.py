@@ -13,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import _fibers, check_axioms, find_basis, ViolatorSpace
+from .core import _fibers, check_axioms, ViolatorSpace
 from .instances import ExplicitSpace, _int_field, _read_json, _write_json
 from .subsets import full_mask, interval_hull, iter_submasks, iter_submasks_ascending
 
@@ -180,19 +180,22 @@ def random_partition(n: int, rng) -> HypercubePartition:
 
 
 def _nondegenerate_by_definition(space: ViolatorSpace) -> bool:
-    """Brute-force O(3^n) reference for core.is_nondegenerate.
+    """Brute-force O(3^n) reference for core.is_nondegenerate, by its definition.
 
-    Every G has a unique minimal B with V(B) == V(G) exactly when all sets
-    inside G sharing V(G) contain the minimum-cardinality one (downward
-    chains between equal-violator sets stay equal-violator by monotonicity).
+    Every G must have a unique inclusion-minimal B inside G with
+    V(B) == V(G). A finite family has a unique inclusion-minimal member
+    exactly when the intersection of its members belongs to it, so G
+    passes when the AND of all such B also has V(G). No axiom is assumed.
     """
     table = space.violator_table()
     for g in range(1 << space.n):
         vg = table[g]
-        b0 = find_basis(space, g)
+        meet = g
         for b in iter_submasks(g):
-            if table[b] == vg and (b & b0) != b0:
-                return False
+            if table[b] == vg:
+                meet &= b
+        if table[meet] != vg:
+            return False
     return True
 
 

@@ -522,15 +522,6 @@ def miniball(instance: SebInstance, subset: int) -> Ball:
     return Ball(center=center, radius=math.sqrt(r2))
 
 
-def seb_violators(instance: SebInstance, subset: int) -> int:
-    """Points outside the smallest ball enclosing `subset`.
-
-    The empty set is unconstrained: every point violates it. Members of
-    `subset` are never reported (consistency by construction).
-    """
-    return SebSpace(instance).violators(subset)
-
-
 class SebSpace(ViolatorSpace):
     """Violator-space handle over a smallest-enclosing-ball instance.
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from vspace import core
 from vspace.algorithms import weighted_sample
 from vspace.core import FuncSpace, ViolatorSpace, check_axioms, extreme_elements, is_basis
 from vspace.fixtures import (
@@ -360,6 +361,20 @@ def eager_growth_replay(start, step, rounds, stop):
             break
         g |= v
     return out
+
+
+def count_round_records(monkeypatch) -> list:
+    """Patch core.RoundRecord so that every record built appends 1 to the
+    returned list."""
+    built = []
+    real = core.RoundRecord
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(core, "RoundRecord", counting)
+    return built
 
 
 def bisect_weighted_sample(mu, r, rng):

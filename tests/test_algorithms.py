@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vspace import algorithms, core
+from vspace import algorithms
 from vspace.algorithms import (
     SolveResult,
     SolverStall,
@@ -31,6 +31,7 @@ from conftest import (
     RecordingHandle,
     RestrictedSpace,
     bisect_weighted_sample,
+    count_round_records,
     eager_doubling_replay,
     eager_growth_replay,
     expand,
@@ -533,7 +534,9 @@ def test_trace_columns_rebuild_the_eager_rounds(roster):
                 tr = german_algorithm(space, seed, inner).trace
                 assert tr.final_weights is None
                 if not tr.delegated:
-                    assert _rounds(tr) == _german_replay(space, seed, inner)
+                    want = _german_replay(space, seed, inner)
+                    assert _rounds(tr) == want
+                    assert tr.working == want[-1][0] | want[-1][1]
             if r >= n:
                 continue
             runs = [(swiss_algorithm(space, seed).trace, default_safety_cap(d, n), True),
@@ -622,14 +625,7 @@ def test_solve_result_calls_builds_no_round_record(monkeypatch):
               swiss_algorithm(space, 3).trace, german_algorithm(small, 3).trace]
     lengths = [len(tr.rounds) for tr in traces]
     assert traces[-1].delegated and lengths[-1] == 0 and min(lengths[:-1]) > 0
-    built = []
-    real = core.RoundRecord
-
-    def counting(*args, **kwargs):
-        built.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(core, "RoundRecord", counting)
+    built = count_round_records(monkeypatch)
     assert [SolveResult(0, tr).calls for tr in traces] == [max(1, k) for k in lengths]
     assert swiss_algorithm(space, 4).calls > 1
     assert built == []

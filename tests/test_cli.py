@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from vspace.cli import build_parser, main
 from vspace.hypercube import partition_to_space, random_partition
 
+from conftest import count_round_records
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -93,6 +95,19 @@ def test_solve_sa(capsys):
     assert rc == 0
     assert "algorithm: sa" in out
     assert "basis: 0" in out
+
+
+def test_solve_sa_counts_rounds_without_round_records(capsys, tmp_path, monkeypatch):
+    # The rounds line reads the trace's violators column; only --trace
+    # builds records, one per CSV row.
+    built = count_round_records(monkeypatch)
+    rc, out, _ = run(capsys, "solve", f"{FIXTURES}/f1.json", "--algo", "sa", "--seed", "3")
+    assert rc == 0 and "rounds: " in out and built == []
+    csv_path = tmp_path / "t.csv"
+    rc, traced, _ = run(capsys, "solve", f"{FIXTURES}/f1.json", "--algo", "sa", "--seed", "3",
+                        "--trace", str(csv_path))
+    assert rc == 0 and traced.startswith(out)
+    assert len(built) == len(csv_path.read_text().splitlines()) - 1 > 0
 
 
 def test_solve_trace_identical_across_runs(capsys, tmp_path):

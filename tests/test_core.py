@@ -402,6 +402,7 @@ def test_composite_trace_columns_rebuild_the_eager_rounds(roster, key):
         trace = composite_rounds(space, g)
         want = eager_growth_replay(g, space.violators, d, stop=False)
         assert [(rec.sample, rec.violators, rec.weight_total) for rec in trace.rounds] == want
+        assert trace.working == (want[-1][0] | want[-1][1] if want else g)
         assert trace.final_weights is None
 
 

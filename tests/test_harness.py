@@ -23,7 +23,7 @@ from vspace.harness import (
 from vspace.core import DIMENSION_LIMIT, FuncSpace
 from vspace.instances import ExplicitSpace
 
-from conftest import sampling_stats_by_enumeration, table_pass_cases
+from conftest import count_round_records, sampling_stats_by_enumeration, table_pass_cases
 
 
 def test_exact_stats_frozen_f1(roster):
@@ -233,6 +233,18 @@ def test_sa_experiment_deterministic(roster):
     b = sa_experiment(roster["f1"], trials=40, seed=5, forever_traces=50,
                       forever_rounds=6)
     assert a == b
+
+
+def test_sa_experiment_reads_rounds_off_the_violators_column(roster, monkeypatch):
+    # Round counts and controversial prefixes come off trace.violators;
+    # only the weight checkpoints replay records, for their totals.
+    kwargs = dict(trials=30, seed=5, forever_traces=60, forever_rounds=6)
+    built = count_round_records(monkeypatch)
+    plain = sa_experiment(roster["f1"], **kwargs)
+    assert built == [] and len(plain["tail"]) == 6
+    weighed = sa_experiment(roster["f1"], weight_checkpoints=2, **kwargs)
+    assert len(built) == 60 * 6
+    assert weighed["tail"] == plain["tail"]
 
 
 def test_composite_experiment_nondegenerate_base(roster):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -130,6 +131,38 @@ def test_fiber_test_matches_definition_on_every_small_table():
             count += 1
             assert is_nondegenerate(space) == _nondegenerate_by_definition(space), space.table
         assert count == expected
+
+
+def _unique_minimal_by_count(table, n):
+    """The literal definition: every G has exactly one inclusion-minimal
+    b inside G with V(b) == V(G), counted over all such b."""
+    for g in range(1 << n):
+        family = [b for b in range(g + 1) if b & ~g == 0 and table[b] == table[g]]
+        minimal = [b for b in family if not any(c != b and c & ~b == 0 for c in family)]
+        if len(minimal) != 1:
+            return False
+    return True
+
+
+def test_definition_reference_matches_a_count_of_minimal_sets():
+    # Every table for n = 1 and 2, inconsistent ones included, and seeded
+    # random n = 3 tables whose entries come from a palette of 1 to 4
+    # masks, so that equal entries, and so both answers, occur often.
+    tables = [(n, list(t)) for n in (1, 2)
+              for t in itertools.product(range(1 << n), repeat=1 << n)]
+    assert len(tables) == 260
+    rng = random.Random(spawn(27, 0))
+    for _ in range(400):
+        palette = [rng.randrange(8) for _ in range(rng.randint(1, 4))]
+        tables.append((3, [rng.choice(palette) for _ in range(8)]))
+    verdicts = Counter()
+    for n, table in tables:
+        want = _unique_minimal_by_count(table, n)
+        assert _nondegenerate_by_definition(ExplicitSpace(n, table)) == want, (n, table)
+        verdicts[n, want] += 1
+    # One element never has two minimal sets; both answers occur from n = 2.
+    assert verdicts == {(1, True): 4, (2, True): 244, (2, False): 12,
+                        (3, True): 254, (3, False): 146}
 
 
 def test_partition_space_table_frozen():

@@ -30,7 +30,6 @@ from vspace.instances import (
     miniball,
     save_explicit,
     save_seb,
-    seb_violators,
     tabulate,
 )
 from vspace.subsets import elements, full_mask, mask_of
@@ -233,14 +232,15 @@ def test_miniball_against_support_oracle(seed, n, dim):
     assert np.all(d2 <= ball.radius ** 2 * (1.0 + DEFAULT_TOLERANCE) + 1e-300)
 
 
-def test_seb_violators_semantics():
+def test_seb_space_violators_semantics():
     inst = make_seb([(0.0, 0.0), (1.0, 0.0), (10.0, 0.0), (0.4, 0.1)])
+    violators = SebSpace(inst).violators
     # empty set: everything violates
-    assert seb_violators(inst, 0) == 0b1111
+    assert violators(0) == 0b1111
     # ball of {0,1} covers point 3 but not point 2
-    assert seb_violators(inst, 0b0011) == 0b0100
+    assert violators(0b0011) == 0b0100
     # members are never violators
-    assert seb_violators(inst, 0b1111) == 0
+    assert violators(0b1111) == 0
     full_ball = miniball(inst, 0b1111)
     assert math.isclose(full_ball.radius, 5.0)
 
