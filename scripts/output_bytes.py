@@ -13,11 +13,10 @@ solves allocate once (caches, interned objects).
 
 Each case runs at two result counts, the smaller run solving the first
 clouds of the larger. A row shows the slope of the traced bytes between
-them, the bytes per kept result, and the intercept, the one-time bytes.
-Allocator caches that outlive a solve make both vary between runs of one
-checkout, for swiss by about 15 bytes per result and 10 KB one-time, so
-compare several runs. Compare two checkouts by running the script
-against each:
+them, the bytes per kept result, which leaves the one-time bytes out.
+Allocator caches that outlive a solve make the slope vary between runs
+of one checkout, for swiss by about 15 bytes per result, so compare
+several runs. Compare two checkouts by running the script against each:
 
     PYTHONPATH=src python3 scripts/output_bytes.py
 """
@@ -72,11 +71,10 @@ def traced_bytes(solve, n: int, doubled: bool, seed: int, results: int) -> int:
 
 def main() -> None:
     lo, hi = COUNTS
-    print(f"{'case':<30} {'results':>9} {'bytes/result':>12} {'one-time bytes':>14}")
+    print(f"{'case':<30} {'results':>9} {'bytes/result':>12}")
     for k, (name, (solve, n, doubled)) in enumerate(CASES.items()):
         small, large = (traced_bytes(solve, n, doubled, 24 + k, m) for m in COUNTS)
-        slope = (large - small) / (hi - lo)
-        print(f"{name:<30} {f'{lo}, {hi}':>9} {slope:>12.0f} {small - slope * lo:>14.0f}")
+        print(f"{name:<30} {f'{lo}, {hi}':>9} {(large - small) / (hi - lo):>12.0f}")
 
 
 if __name__ == "__main__":

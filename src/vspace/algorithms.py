@@ -16,7 +16,9 @@ cumulative sums and doublings are numpy passes. Sampling must stay exact,
 and totals pass 2^64 after enough doubling rounds: the loop keeps an exact
 Python-int total beside the array and turns the array into Python ints
 (dtype object) before its total could reach 2^62, and weighted_sample
-sums in Python ints wherever an int64 sum could wrap.
+sums in Python ints wherever an int64 sum could wrap. A doubling trace
+keeps the run's seed and violators; its rounds and final weights rerun
+the same loop with those violators in place of the oracle's.
 """
 
 from __future__ import annotations
@@ -29,17 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DoublingTrace,
     GrowthTrace,
+    RoundRecord,
     RunTrace,
     ViolatorSpace,
     find_basis,
     growth_rounds,
-    pack_samples,
     resolve_dimension,
 )
 from .seeding import spawn
-from .subsets import elements
+from .subsets import elements, full_mask
 
 
 class SolverStall(RuntimeError):
@@ -195,30 +196,27 @@ def _place(dense: int, positions: list[int]) -> int:
     return out
 
 
-def _doubling_rounds(space: ViolatorSpace, support: int, seed: int, r: int, rounds: int,
-                     stop: bool) -> tuple[DoublingTrace, int]:
-    """Up to `rounds` rounds of: weighted sample R of r slips, its
-    violators in the support V(R) & support, double their weights; with
-    stop, the rounds end at the first one without violators. Weights start
-    at 1 on the support and are kept for the support's elements only, in
-    order, so every sample lies in the support. V(R) is V of every basis
-    of R by locality, so a round searches for no basis. Returns the trace,
-    which ends cleanly when its last round (if any) has no violators, and
-    the last sample (0 without rounds)."""
-    n = space.n
-    confined = support != space.ground
+def _doubling(n: int, support: int, seed: int, r: int, rounds: int, violators_of,
+              stop: bool) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+    """The weight-doubling loop: up to `rounds` rounds of a weighted sample R
+    of r slips, its violators v = violators_of(R), a mask inside the
+    support, and the doubling of their weights; with stop, the rounds end
+    at the first one without violators. Weights start at 1 on the support
+    and are kept for the support's elements only, in order, so every
+    sample lies in the support. Returns each round's (R, v, total weight
+    after doubling) and the final weights of the support's elements."""
+    confined = support != full_mask(n)
     positions = elements(support) if confined else None
     on_support = _bits(support, n) if confined else None
     mu = np.ones(support.bit_count(), np.int64)
     total = len(mu)     # sum(mu), exact
     rng = random.Random(spawn(seed, 0))
-    samples: list[int] = []
-    vs: list[int] = []
+    rows: list[tuple[int, int, int]] = []
     for _ in range(rounds):
         sample = weighted_sample(mu, r, rng)
         if confined:
             sample = _place(sample, positions)
-        v = space.violators(sample) & support
+        v = violators_of(sample)
         if v:
             hit = _bits(v, n)
             if confined:
@@ -228,14 +226,66 @@ def _doubling_rounds(space: ViolatorSpace, support: int, seed: int, r: int, roun
             if total >= _EXACT_FROM and mu.dtype != object:
                 mu = mu.astype(object)
             mu[hit] = doubled * 2   # below 2^63: each was below the old total
-        samples.append(sample)
-        vs.append(v)
+        rows.append((sample, v, total))
         if stop and v == 0:
             break
-    trace = DoublingTrace(samples=pack_samples(samples, n), violators=tuple(vs),
-                          terminated_cleanly=not vs or vs[-1] == 0, ground_size=n,
-                          slips=r, support=support if confined else None)
-    return trace, samples[-1] if samples else 0
+    return rows, mu
+
+
+@dataclass(frozen=True, slots=True)
+class DoublingTrace(RunTrace):
+    """Rounds of a weight-doubling run: its seed, n, r, the support its
+    weights start on (1 on it, 0 off it), None for the whole ground set,
+    and its violators column. A round's sample depends only on the seed
+    and the violators of the rounds before it, so rounds and final_weights
+    rerun the doubling loop with the column as its source of violators,
+    and ask no handle."""
+
+    seed: int
+    violators: tuple[int, ...]
+    ground_size: int
+    slips: int
+    support: int | None
+    delegated = False
+
+    @property
+    def terminated_cleanly(self) -> bool:
+        return not self.violators or self.violators[-1] == 0
+
+    def _rerun(self) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+        n = self.ground_size
+        column = iter(self.violators)
+        return _doubling(n, full_mask(n) if self.support is None else self.support, self.seed,
+                         self.slips, len(self.violators), lambda _: next(column), stop=False)
+
+    @property
+    def rounds(self) -> tuple[RoundRecord, ...]:
+        rows, _ = self._rerun()
+        return tuple(RoundRecord(sample=s, violators=v, weight_total=t) for s, v, t in rows)
+
+    @property
+    def final_weights(self) -> tuple[int, ...]:
+        """2^k for an element of the support, k its doublings; 0 off it."""
+        _, mu = self._rerun()
+        if self.support is None:
+            return tuple(mu.tolist())
+        weights = [0] * self.ground_size
+        for e, w in zip(elements(self.support), mu.tolist()):
+            weights[e] = w
+        return tuple(weights)
+
+
+def _doubling_rounds(space: ViolatorSpace, support: int, seed: int, r: int, rounds: int,
+                     stop: bool) -> tuple[DoublingTrace, int]:
+    """The doubling loop on the handle, each round's violators V(R) &
+    support; V(R) is V of every basis of R by locality, so a round
+    searches for no basis. Returns the trace and the last sample (0
+    without rounds)."""
+    rows, _ = _doubling(space.n, support, seed, r, rounds,
+                        lambda sample: space.violators(sample) & support, stop)
+    trace = DoublingTrace(seed=seed, violators=tuple(v for _, v, _ in rows), ground_size=space.n,
+                          slips=r, support=None if support == space.ground else support)
+    return trace, rows[-1][0] if rows else 0
 
 
 def swiss_algorithm(space: ViolatorSpace, seed: int, c: float = 2.0) -> SolveResult:

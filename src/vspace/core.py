@@ -20,7 +20,6 @@ integer arithmetic; the table pass holds masks below 2^20 in int64.
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,9 +140,9 @@ class RunTrace:
     Every trace stores the violator mask of each round (`violators`) and
     derives the rest; `rounds` builds the RoundRecords on each access. A
     trace is a GrowthTrace (german, composite iteration, delegated runs)
-    or a DoublingTrace (weight-doubling runs), which also keeps its n
-    (`ground_size`) and its slips per round r (`slips`) once, since all
-    its rounds share them; both are None on a GrowthTrace.
+    or an algorithms.DoublingTrace (weight-doubling runs), which also
+    keeps its n (`ground_size`) and its slips per round r (`slips`) once,
+    since all its rounds share them; both are None on a GrowthTrace.
     """
 
     __slots__ = ()
@@ -183,83 +182,6 @@ class GrowthTrace(RunTrace):
         for v in self.violators:
             g |= v
         return g
-
-
-@dataclass(frozen=True, slots=True)
-class DoublingTrace(RunTrace):
-    """Rounds of a weight-doubling run: the samples packed by pack_samples,
-    and the support the weights start on (1 on it, 0 off it), None for the
-    whole ground set. A round's weight_total adds 2^k for each of its
-    violators, k the element's doublings in earlier rounds."""
-
-    samples: bytes
-    violators: tuple[int, ...]
-    terminated_cleanly: bool
-    ground_size: int
-    slips: int
-    support: int | None
-    delegated = False
-
-    @property
-    def start_weight(self) -> int:
-        """The total weight before the first round: n, or |support|."""
-        return self.ground_size if self.support is None else self.support.bit_count()
-
-    def _replay(self) -> tuple[list[int], list[int]]:
-        """The total weight after each round, and each element's doublings."""
-        doublings = [0] * self.ground_size
-        total, totals = self.start_weight, []
-        for v in self.violators:
-            for e in elements(v):
-                total += 1 << doublings[e]
-                doublings[e] += 1
-            totals.append(total)
-        return totals, doublings
-
-    @property
-    def rounds(self) -> tuple[RoundRecord, ...]:
-        totals, _ = self._replay()
-        samples = unpack_samples(self.samples, self.ground_size)
-        return tuple(RoundRecord(sample=s, violators=v, weight_total=t)
-                     for s, v, t in zip(samples, self.violators, totals))
-
-    @property
-    def final_weights(self) -> tuple[int, ...]:
-        """2^k for an element of the support, k its doublings; 0 off it."""
-        _, doublings = self._replay()
-        if self.support is None:
-            return tuple(1 << k for k in doublings)
-        weights = [0] * self.ground_size
-        for e in elements(self.support):
-            weights[e] = 1 << doublings[e]
-        return tuple(weights)
-
-
-def _index_code(n: int) -> str:
-    """array typecode of an element index below n: uint16 up to 2^16, else 32 bits."""
-    return "H" if n <= 1 << 16 else "I"
-
-
-def pack_samples(masks, n: int) -> bytes:
-    """The masks over 0..n-1 as one bytes: each one's size, then its
-    elements in ascending order, all in the fixed-width code of n."""
-    out = array(_index_code(n))
-    for m in masks:
-        idx = elements(m)
-        out.append(len(idx))
-        out.extend(idx)
-    return out.tobytes()
-
-
-def unpack_samples(data: bytes, n: int) -> list[int]:
-    """The masks that pack_samples(masks, n) packed into data."""
-    idx = array(_index_code(n), data)
-    masks, i = [], 0
-    while i < len(idx):
-        k = idx[i]
-        masks.append(mask_of(idx[i + 1:i + 1 + k]))
-        i += 1 + k
-    return masks
 
 
 def check_axioms(space: ViolatorSpace) -> AxiomReport:

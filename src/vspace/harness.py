@@ -265,7 +265,10 @@ def sa_experiment(space: ViolatorSpace, trials: int, seed: int,
     n = space.n
     params = BoundParams(d=d, n=n, c=c, beta=beta)
     r = params.r_sa
-    # Forever traces first, so that sa_forever's refusal of r >= n comes
+    # The bounds first, so that a c they refuse is refused before any run.
+    alpha = params.alpha
+    round_bound = params.round_bound()
+    # Forever traces next, so that sa_forever's refusal of r >= n comes
     # before the trials; their seeds do not depend on the trials.
     prefixes = []
     weight_sums = [n * forever_traces] + [0] * forever_rounds
@@ -278,7 +281,6 @@ def sa_experiment(space: ViolatorSpace, trials: int, seed: int,
                 weight_sums[i] += rec.weight_total
     rounds, stalled = _finished_trials(
         lambda s: len(swiss_algorithm(space, s, c=c).trace.violators), trials, seed)
-    round_bound = params.round_bound()
     mean_rounds = statistics.fmean(rounds) if rounds else math.inf
     metrics = [
         {"name": "trials finishing before the safety cap",
@@ -291,7 +293,7 @@ def sa_experiment(space: ViolatorSpace, trials: int, seed: int,
     report = {
         "experiment": "sa",
         "config": {"n": n, "d": d, "r": r, "c": c, "beta": beta,
-                   "alpha": params.alpha, "trials": trials, "seed": seed,
+                   "alpha": alpha, "trials": trials, "seed": seed,
                    "forever_traces": forever_traces,
                    "forever_rounds": forever_rounds,
                    "weight_checkpoints": weight_checkpoints},
@@ -304,7 +306,6 @@ def sa_experiment(space: ViolatorSpace, trials: int, seed: int,
     }
 
     if forever_traces:
-        alpha = params.alpha
         tail = []
         for ell in range(1, forever_rounds + 1):
             phat = sum(1 for k in prefixes if k >= ell) / forever_traces
@@ -345,8 +346,9 @@ def composite_experiment(space: ViolatorSpace) -> dict:
 
     Checks: axioms hold; the composite violators of every subset, which
     the table holds in difference form (final working set minus the
-    start), equal the union of the per-round violator sets minus the
-    start; the composite dimension is at most d(d+1)/2;
+    start), equal the union of the per-round violator sets, as they do
+    when every round's violators miss its working set (consistency); the
+    composite dimension is at most d(d+1)/2;
     nondegeneracy is inherited when the base space has it; and the
     sampling identity plus the corollary at the d(d+1)/2 bound hold on
     the composite table. Base nondegeneracy is None if the base fails the axioms.
@@ -364,7 +366,7 @@ def composite_experiment(space: ViolatorSpace) -> dict:
         union = 0
         for v in composite_rounds(space, g).violators:
             union |= v
-        if tab.table[g] != union & ~g:
+        if tab.table[g] != union:
             forms_ok = False
             break
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vspace import core
+from vspace import algorithms, core
 from vspace.algorithms import weighted_sample
 from vspace.core import FuncSpace, ViolatorSpace, check_axioms, extreme_elements, is_basis
 from vspace.fixtures import (
@@ -364,8 +364,8 @@ def eager_growth_replay(start, step, rounds, stop):
 
 
 def count_round_records(monkeypatch) -> list:
-    """Patch core.RoundRecord so that every record built appends 1 to the
-    returned list."""
+    """Patch core.RoundRecord and algorithms.RoundRecord so that every
+    record built appends 1 to the returned list."""
     built = []
     real = core.RoundRecord
 
@@ -374,6 +374,7 @@ def count_round_records(monkeypatch) -> list:
         return real(*args, **kwargs)
 
     monkeypatch.setattr(core, "RoundRecord", counting)
+    monkeypatch.setattr(algorithms, "RoundRecord", counting)
     return built
 
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -547,6 +549,29 @@ def test_trace_columns_rebuild_the_eager_rounds(roster):
                 assert tr.final_weights == weights
 
 
+def test_doubling_replays_ask_no_handle():
+    # A doubling trace keeps its seed and violators column, not the handle:
+    # reading its rounds and final weights asks the handle nothing, and
+    # gives the eager replay's values after the handle is gone.
+    proxy = RecordingHandle(SebSpace(generate("uniform-square", {"n": 80, "dim": 2}, 23)))
+    d = resolve_dimension(proxy)
+    support = sum(1 << i for i in random.Random(24).sample(range(80), 40))
+    runs = [(swiss_algorithm(proxy, 3).trace, proxy.ground, default_safety_cap(d, 80), True),
+            (sa_forever(proxy, 3, 12), proxy.ground, 12, False),
+            (_swiss(proxy, support, 3, 2.0).trace, support, default_safety_cap(d, 40), True)]
+    want = [eager_doubling_replay(proxy, sup, 3, tr.slips, rounds, stop)
+            for tr, sup, rounds, stop in runs]
+    traces = [tr for tr, *_ in runs]
+    asked = len(proxy.asked)
+    assert [(_rounds(tr), tr.final_weights) for tr in traces] == want
+    assert len(proxy.asked) == asked
+    handle = weakref.ref(proxy)
+    del proxy, runs
+    gc.collect()
+    assert handle() is None
+    assert [(_rounds(tr), tr.final_weights) for tr in traces] == want
+
+
 def test_confined_swiss_trace_starts_at_the_support_size():
     # Off the support the weights are 0, so the total before the first
     # round is |support|, not n.
@@ -557,7 +582,7 @@ def test_confined_swiss_trace_starts_at_the_support_size():
     for seed in range(10):
         tr = _swiss(space, support, seed, 2.0).trace
         want, weights = eager_doubling_replay(space, support, seed, r, cap, stop=True)
-        assert (tr.start_weight, tr.ground_size, tr.slips) == (40, 80, r)
+        assert (tr.support, tr.ground_size, tr.slips) == (support, 80, r)
         assert _rounds(tr) == want
         assert tr.final_weights == weights
 

@@ -217,6 +217,16 @@ def test_composite_command(capsys):
     assert "overall: pass" in out
 
 
+def test_composite_fails_on_an_inconsistent_table(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"format": "violator-table-v1", "n": 2, "table": [3, 1, 2, 0]}))
+    rc, out, _ = run(capsys, "composite", str(bad))
+    assert rc == 1
+    assert "FAIL  union and difference forms agree" in out
+    assert "overall: FAIL" in out
+
+
 def test_unknown_format_is_input_error(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"format": "nope"}')

@@ -22,10 +22,8 @@ from vspace.core import (
     growth_rounds,
     is_basis,
     is_nondegenerate,
-    pack_samples,
     resolve_dimension,
     subset_counts,
-    unpack_samples,
 )
 from vspace.hypercube import enumerate_partitions, partition_to_space, random_partition
 from vspace.instances import ExplicitSpace, SebSpace, generate, tabulate
@@ -404,27 +402,6 @@ def test_composite_trace_columns_rebuild_the_eager_rounds(roster, key):
         assert [(rec.sample, rec.violators, rec.weight_total) for rec in trace.rounds] == want
         assert trace.working == (want[-1][0] | want[-1][1] if want else g)
         assert trace.final_weights is None
-
-
-@pytest.mark.parametrize("n", [0, 1, 65_536, 65_537, 200_000])
-def test_sample_packing_round_trips(n):
-    # Indices are uint16 up to n = 2^16 and 32 bits above; every mask is
-    # stored as its size, then its elements.
-    rng = random.Random(n)
-    cases = [[], [0]]
-    if n:
-        cases += [[1 << (n - 1)], [1], [0, 1 << (n - 1), 0]]
-    for size in (1, 2, 18, 2000):
-        if size < n:
-            cases.append([sum(1 << i for i in rng.sample(range(n), size)) for _ in range(3)])
-    if n == 65_536:
-        cases.append([full_mask(n) ^ 1 << 7])     # n - 1 elements, the largest sample
-    width = 2 if n <= 1 << 16 else 4
-    for masks in cases:
-        data = pack_samples(masks, n)
-        assert isinstance(data, bytes)
-        assert len(data) == width * (len(masks) + sum(m.bit_count() for m in masks))
-        assert unpack_samples(data, n) == masks
 
 
 def test_composite_space_hint(roster):

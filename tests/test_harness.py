@@ -227,6 +227,21 @@ def test_sa_experiment_refuses_forever_traces_before_trials(roster, monkeypatch)
     assert calls == []
 
 
+def test_sa_experiment_refuses_a_c_without_decay_before_any_run(roster, monkeypatch):
+    # alpha refuses c <= log2(e), and a c whose alpha rounds to 1, before
+    # the first forever trace or trial
+    calls = []
+    for name in ("sa_forever", "swiss_algorithm"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+    for c, message in ((1.0, "must exceed"), (math.nextafter(LOG2_E, 2.0), "rounds to 1")):
+        with pytest.raises(ValueError, match=message):
+            sa_experiment(roster["interval12"], trials=3000, seed=1, c=c,
+                          forever_traces=200, forever_rounds=8)
+    assert calls == []
+
+
 def test_sa_experiment_deterministic(roster):
     a = sa_experiment(roster["f1"], trials=40, seed=5, forever_traces=50,
                       forever_rounds=6)
@@ -263,6 +278,15 @@ def test_composite_experiment_skips_nondegeneracy_of_broken_base():
     rep = composite_experiment(base)
     assert rep["summary"]["base_nondegenerate"] is None
     assert "nondegeneracy inherited" not in [m["name"] for m in rep["metrics"]]
+
+
+def test_composite_forms_fail_on_an_inconsistent_base():
+    # V({0}) == {0} breaks consistency: the round from {0} pulls in its own
+    # start, which the union keeps and the table's difference form drops
+    rep = composite_experiment(ExplicitSpace(2, [3, 1, 2, 0]))
+    forms = [m["pass"] for m in rep["metrics"] if m["name"] == "union and difference forms agree"]
+    assert forms == [False]
+    assert not rep["pass"]
 
 
 def test_composite_experiment_degenerate_base(roster):
