@@ -23,7 +23,6 @@ the same loop with those violators in place of the oracle's.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -36,7 +35,6 @@ from .core import (
     RunTrace,
     ViolatorSpace,
     find_basis,
-    growth_rounds,
     resolve_dimension,
 )
 from .seeding import spawn
@@ -146,31 +144,24 @@ def german_algorithm(space: ViolatorSpace, seed: int, inner: str = "bfa") -> Sol
         return SolveResult(find_basis(space, space.ground), _DELEGATED)
 
     rng = random.Random(spawn(seed, 0))
-    sample = weighted_sample(np.ones(n, np.int64), r, rng)
-    if inner == "bfa":
-        step = space.violators
-    else:
-        bases: list[int] = []   # inner swiss run i has seed spawn(seed, i)
-
-        def step(g: int) -> int:
-            bases.append(_swiss(space, g, spawn(seed, len(bases) + 1), 2.0).basis)
-            return space.violators(bases[-1])
-
+    g = start = weighted_sample(np.ones(n, np.int64), r, rng)
     vs: list[int] = []
-
-    def trace(clean: bool) -> RunTrace:
-        return GrowthTrace(start=sample, violators=tuple(vs), terminated_cleanly=clean)
-
     try:
-        for rec in itertools.islice(growth_rounds(sample, step), d + 1):
-            vs.append(rec.violators)
-            if rec.violators == 0:
-                basis = find_basis(space, rec.sample) if inner == "bfa" else bases[-1]
-                return SolveResult(basis, trace(True))
+        for i in range(1, d + 2):
+            # V(B) for B a basis of G; with bfa V(G) itself, equal by locality
+            b = g if inner == "bfa" else _swiss(space, g, spawn(seed, i), 2.0).basis
+            vs.append(space.violators(b))
+            if vs[-1] == 0:
+                break
+            g |= vs[-1]
     except SolverStall as stall:
-        raise SolverStall(f"inner swiss run stalled: {stall}", trace(False)) from stall
-    raise SolverStall(f"basis loop ran past {d + 1} rounds; the handle does not "
-                      f"satisfy the violator-space axioms", trace(False))
+        raise SolverStall(f"inner swiss run stalled: {stall}", GrowthTrace(
+            start=start, violators=tuple(vs), terminated_cleanly=False)) from stall
+    trace = GrowthTrace(start=start, violators=tuple(vs), terminated_cleanly=vs[-1] == 0)
+    if not trace.terminated_cleanly:
+        raise SolverStall(f"basis loop ran past {d + 1} rounds; the handle does not "
+                          f"satisfy the violator-space axioms", trace)
+    return SolveResult(find_basis(space, g) if inner == "bfa" else b, trace)
 
 
 def default_safety_cap(d: int, n: int) -> int:

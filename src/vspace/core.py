@@ -130,7 +130,7 @@ class RoundRecord:
 
     @property
     def working(self) -> int:
-        """The working set after a growth round (see growth_rounds)."""
+        """The working set after a growth round: its sample OR'd with its violators."""
         return self.sample | self.violators
 
 
@@ -460,15 +460,6 @@ def resolve_dimension(space: ViolatorSpace) -> int:
     return space.dim_hint
 
 
-def growth_rounds(g: int, step):
-    """Lazily yield the rounds of G <- G | step(G) from G = g: a round's
-    sample is G before it, its violators step(G)."""
-    while True:
-        v = step(g)
-        yield RoundRecord(sample=g, violators=v)
-        g |= v
-
-
 def composite_rounds(space: ViolatorSpace, subset: int) -> RunTrace:
     """Take d growth rounds G <- G | V(G) starting from `subset`, d the
     space dimension.
@@ -480,9 +471,11 @@ def composite_rounds(space: ViolatorSpace, subset: int) -> RunTrace:
     the working set its violator set is empty.
     """
     d = resolve_dimension(space)
-    vs = tuple(rec.violators for rec in itertools.islice(growth_rounds(subset, space.violators), d))
-    clean = not vs or vs[-1] == 0
-    return GrowthTrace(start=subset, violators=vs, terminated_cleanly=clean)
+    g, vs = subset, []
+    for _ in range(d):
+        vs.append(space.violators(g))
+        g |= vs[-1]
+    return GrowthTrace(start=subset, violators=tuple(vs), terminated_cleanly=not vs or vs[-1] == 0)
 
 
 def composite_violators(space: ViolatorSpace, subset: int) -> int:

@@ -185,6 +185,13 @@ def _mean_ci95(values) -> tuple[float, float, float]:
     return mean, mean - half, mean + half
 
 
+def _metric(name: str, measured, bound, at_most: bool = True) -> dict:
+    """A report row that passes when measured <= bound, or, for counts and
+    flags (at_most=False), when measured == bound."""
+    ok = measured <= bound if at_most else measured == bound
+    return {"name": name, "measured": measured, "bound": bound, "pass": ok}
+
+
 def _finished_trials(solve, trials: int, seed: int) -> tuple[list, int]:
     """solve(spawn(seed, t)) for each trial t that raises no SolverStall, and the stall count."""
     results = []
@@ -220,11 +227,8 @@ def ga_experiment(space: ViolatorSpace, trials: int, seed: int,
     mean, lo, hi = _mean_ci95(max_working) if max_working else (math.inf,) * 3
     rounds_max = max(rounds, default=0)
     metrics = [
-        {"name": "inner calls <= d+1", "measured": rounds_max,
-         "bound": d + 1, "pass": rounds_max <= d + 1},
-        {"name": "mean final working-set size, 5% slack",
-         "measured": mean, "bound": size_bound * 1.05,
-         "pass": mean <= size_bound * 1.05},
+        _metric("inner calls <= d+1", rounds_max, d + 1),
+        _metric("mean final working-set size, 5% slack", mean, size_bound * 1.05),
     ]
     summary = {"rounds_max": rounds_max,
                "rounds_mean": statistics.fmean(rounds) if rounds else math.inf,
@@ -233,8 +237,8 @@ def ga_experiment(space: ViolatorSpace, trials: int, seed: int,
                "max_working_ci95": [lo, hi],
                "size_bound": size_bound}
     if stalled:
-        metrics.append({"name": "trials finishing before the safety cap",
-                        "measured": trials - stalled, "bound": trials, "pass": False})
+        metrics.append(_metric("trials finishing before the safety cap", trials - stalled,
+                               trials, at_most=False))
         summary["stalled"] = stalled
     return {
         "experiment": "ga",
@@ -283,12 +287,9 @@ def sa_experiment(space: ViolatorSpace, trials: int, seed: int,
         lambda s: len(swiss_algorithm(space, s, c=c).trace.violators), trials, seed)
     mean_rounds = statistics.fmean(rounds) if rounds else math.inf
     metrics = [
-        {"name": "trials finishing before the safety cap",
-         "measured": trials - stalled, "bound": trials,
-         "pass": stalled == 0},
-        {"name": "mean rounds <= beta*log_{1/alpha}(n) + 1",
-         "measured": mean_rounds, "bound": round_bound,
-         "pass": mean_rounds <= round_bound},
+        _metric("trials finishing before the safety cap", trials - stalled, trials,
+                at_most=False),
+        _metric("mean rounds <= beta*log_{1/alpha}(n) + 1", mean_rounds, round_bound),
     ]
     report = {
         "experiment": "sa",
@@ -316,10 +317,8 @@ def sa_experiment(space: ViolatorSpace, trials: int, seed: int,
                          "bound": bound, "slack": slack,
                          "pass": phat <= bound + slack})
         report["tail"] = tail
-        metrics.append({"name": "controversial-prefix probabilities within bound",
-                        "measured": sum(1 for row in tail if row["pass"]),
-                        "bound": len(tail),
-                        "pass": all(row["pass"] for row in tail)})
+        metrics.append(_metric("controversial-prefix probabilities within bound",
+                               sum(row["pass"] for row in tail), len(tail), at_most=False))
         if weight_checkpoints:
             growth = []
             for k in range(1, weight_checkpoints + 1):
@@ -332,10 +331,9 @@ def sa_experiment(space: ViolatorSpace, trials: int, seed: int,
                                "bound": bound * 1.05,
                                "pass": measured <= bound * 1.05})
             report["weight_growth"] = growth
-            metrics.append({"name": "mean total weight after k*d rounds, 5% slack",
-                            "measured": sum(1 for row in growth if row["pass"]),
-                            "bound": len(growth),
-                            "pass": all(row["pass"] for row in growth)})
+            metrics.append(_metric("mean total weight after k*d rounds, 5% slack",
+                                   sum(row["pass"] for row in growth), len(growth),
+                                   at_most=False))
 
     report["pass"] = all(m["pass"] for m in metrics)
     return report
@@ -377,19 +375,14 @@ def composite_experiment(space: ViolatorSpace) -> dict:
     sampling = verify_sampling_lemma(tab, d=bound_d)
 
     metrics = [
-        {"name": "composite axioms", "measured": bool(tab.axiom_report.ok),
-         "bound": True, "pass": bool(tab.axiom_report.ok)},
-        {"name": "union and difference forms agree", "measured": forms_ok,
-         "bound": True, "pass": forms_ok},
-        {"name": "composite dimension <= d(d+1)/2", "measured": dim_comp,
-         "bound": bound_d, "pass": dim_comp <= bound_d},
+        _metric("composite axioms", bool(tab.axiom_report.ok), True, at_most=False),
+        _metric("union and difference forms agree", forms_ok, True, at_most=False),
+        _metric("composite dimension <= d(d+1)/2", dim_comp, bound_d),
     ]
     if base_nondeg:
-        metrics.append({"name": "nondegeneracy inherited", "measured": bool(inherited),
-                        "bound": True, "pass": bool(inherited)})
-    metrics.append({"name": "sampling identity and corollary on composite",
-                    "measured": bool(sampling.ok), "bound": True,
-                    "pass": bool(sampling.ok)})
+        metrics.append(_metric("nondegeneracy inherited", bool(inherited), True, at_most=False))
+    metrics.append(_metric("sampling identity and corollary on composite", bool(sampling.ok),
+                           True, at_most=False))
     return {
         "experiment": "composite",
         "config": {"n": n, "d": d, "dim_bound": bound_d},

@@ -34,13 +34,6 @@ class Interval:
         free = self.top & ~self.bottom
         return [self.bottom | s for s in iter_submasks_ascending(free)]
 
-    @property
-    def size(self) -> int:
-        return 1 << (self.top & ~self.bottom).bit_count()
-
-    def contains(self, subset: int) -> bool:
-        return self.bottom & ~subset == 0 and subset & ~self.top == 0
-
 
 @dataclass(frozen=True)
 class HypercubePartition:

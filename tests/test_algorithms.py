@@ -23,7 +23,14 @@ from vspace.algorithms import (
     swiss_sample_size,
     weighted_sample,
 )
-from vspace.core import FuncSpace, find_basis, is_basis, resolve_dimension
+from vspace.core import (
+    FuncSpace,
+    composite_rounds,
+    composite_violators,
+    find_basis,
+    is_basis,
+    resolve_dimension,
+)
 from vspace.harness import trace_rows
 from vspace.instances import SebSpace, generate, make_seb
 from vspace.seeding import spawn
@@ -641,20 +648,26 @@ def test_confined_doubling_weights_turn_exact_before_int64_could_wrap():
         assert max(total for _, _, total in want) > 2 ** 63
 
 
-def test_solve_result_calls_builds_no_round_record(monkeypatch):
-    # SolveResult reads its round count off the violators column; only
-    # trace.rounds builds records.
+def test_solve_result_calls_builds_no_round_record(roster, monkeypatch):
+    # Runs and SolveResult read their round counts off the violators
+    # column; only trace.rounds builds records, one per round.
     space = SebSpace(generate("uniform-square", {"n": 400, "dim": 2}, 25))
     small = SebSpace(make_seb(space.instance.points[:5]))
-    traces = [german_algorithm(space, 3, "bfa").trace, german_algorithm(space, 3, "sa").trace,
-              swiss_algorithm(space, 3).trace, german_algorithm(small, 3).trace]
-    lengths = [len(tr.rounds) for tr in traces]
-    assert traces[-1].delegated and lengths[-1] == 0 and min(lengths[:-1]) > 0
+    f1 = roster["f1"]
     built = count_round_records(monkeypatch)
-    assert [SolveResult(0, tr).calls for tr in traces] == [max(1, k) for k in lengths]
+    traces = [german_algorithm(space, 3, "bfa").trace, german_algorithm(space, 3, "sa").trace,
+              swiss_algorithm(space, 3).trace, german_algorithm(small, 3).trace,
+              composite_rounds(f1, 0b100)]
+    assert composite_violators(f1, 0b100) == 0b011
     assert swiss_algorithm(space, 4).calls > 1
+    assert [SolveResult(0, tr).calls for tr in traces] == [max(1, len(tr.violators))
+                                                          for tr in traces]
     assert built == []
-    assert len(traces[2].rounds) == lengths[2] == len(built)
+    assert traces[3].delegated and not traces[3].violators
+    assert all(tr.violators for tr in traces[:3] + traces[4:])
+    for tr in traces:
+        built.clear()
+        assert len(tr.rounds) == len(tr.violators) == len(built)
 
 
 def test_swiss_sample_sizes(roster):

@@ -19,7 +19,6 @@ from vspace.core import (
     composite_violators,
     extreme_elements,
     find_basis,
-    growth_rounds,
     is_basis,
     is_nondegenerate,
     resolve_dimension,
@@ -384,9 +383,9 @@ def test_composite_depth_insensitive(roster, key):
     space = roster[key]
     d = combinatorial_dimension(space)
     for g in range(1 << space.n):
-        recs = list(itertools.islice(growth_rounds(g, space.violators), d + 2))
-        after_d = recs[d - 1].working if d else g
-        assert recs[-1].working == after_d
+        working = [s | v for s, v, _ in eager_growth_replay(g, space.violators, d + 2, stop=False)]
+        after_d = working[d - 1] if d else g
+        assert working[-1] == after_d
         assert composite_violators(space, g) == after_d & ~g
 
 
